@@ -5,10 +5,14 @@ GO ?= go
 # machine produced them.
 BENCHMETA = ./scripts/benchmeta.sh
 
-.PHONY: build test vet race chaos test-portable fuzz scale-smoke vulncheck verify bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
+.PHONY: build fmt test vet race chaos test-portable fuzz scale-smoke vulncheck verify bench bench-sweep bench-datapath bench-overload bench-egress bench-scale bench-ingress
 
 build:
 	$(GO) build ./...
+
+# Every tracked Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 test:
 	$(GO) test ./...
@@ -27,17 +31,16 @@ race:
 # The chaos gate: the fault-injection, loss-recovery, and overload suites
 # — seeded drop/duplicate/reorder plans, unicast repair, reconnects, idle
 # reaping, graceful degradation, repair admission, storm coalescing,
-# supervised pacers, drain, member eviction, the batched egress
-# engine (wheel/pacer golden equivalence, shard panic recovery,
-# vectorized/fallback/GSO identity, io_uring submission + teardown,
-# catch-up run staging), the ingress ladder (recvmmsg/GRO/single-read
+# supervised egress shards, drain, member eviction, the egress engine
+# (the wheel against the broadcast grid, shard panic recovery,
+# generic/sendmmsg/GSO identity, catch-up run staging), the ingress ladder (recvmmsg/GRO/single-read
 # delivery identity, kill-switch demotion, GRO super-frame splitting,
 # read-error backoff), and the proactive FEC stripe (parity encode,
 # stripe reassembly, defeat escalation, burst loss) — under the race
 # detector.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Uring|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress' \
+		-run 'Chaos|Fault|Repair|Recover|Degrad|Reconnect|Idle|Overload|Storm|Drain|PacerPanic|Evict|Busy|Bye|Jitter|Egress|Wheel|Batch|Golden|Cohort|Mux|Nack|GSO|Catchup|Fec|Parity|Stripe|Recv|Gro|GRO|Ingress' \
 		./internal/faults ./internal/client ./internal/server ./internal/mcast ./internal/viewer
 
 # The portable-fallback pin: the whole egress ladder collapsed to plain
@@ -79,7 +82,7 @@ scale-smoke:
 # The PR gate: tier-1 build+test, vet, race-checked concurrency, the
 # chaos suite, the portable-fallback pin, fuzzers, the cohort-repair
 # smoke sweep, vulnerability scan, and the data-path benchmark record.
-verify: build vet test race chaos test-portable fuzz scale-smoke vulncheck bench-datapath
+verify: build fmt vet test race chaos test-portable fuzz scale-smoke vulncheck bench-datapath
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -121,12 +124,12 @@ bench-scale:
 	$(BENCHMETA) bench-scale >> BENCH_scale.json
 
 # Record the batched egress benchmarks: vectorized vs fallback fan-out
-# at 1/8/64 members, GSO super-frames and io_uring submission over the
-# same fan-out, the timer wheel's dispatch cycle at 2..2100 channels,
+# at 1/8/64 members, GSO super-frames against sendmmsg over the same
+# fan-out, the timer wheel's dispatch cycle at 2..2100 channels,
 # and padded vs unpadded counter contention (see EXPERIMENTS.md
 # "Egress engine").
 bench-egress:
-	$(GO) test -bench 'EgressFanout|EgressSuperframe|EgressUring|WheelDispatch|CounterParallel' -benchmem -run '^$$' -json \
+	$(GO) test -bench 'EgressFanout|EgressSuperframe|WheelDispatch|CounterParallel' -benchmem -run '^$$' -json \
 		./internal/mcast ./internal/server ./internal/metrics > BENCH_egress.json
 	$(BENCHMETA) bench-egress >> BENCH_egress.json
 

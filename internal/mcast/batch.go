@@ -111,9 +111,8 @@ func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 		return 0, fmt.Errorf("mcast: hub closed")
 	}
 	// The super-frame path does its own run-major expansion so same-group
-	// adjacent frames share one syscall slot; it is skipped under the
-	// io_uring engine, whose cross-shard ring carries per-datagram SQEs.
-	if h.gsoOn.Load() && h.vectorized.Load() && !h.uringOn.Load() {
+	// adjacent frames share one syscall slot.
+	if h.gsoOn.Load() && h.vectorized.Load() {
 		return h.sendBatchGSO(entries)
 	}
 	m := *h.members.Load()
@@ -133,18 +132,9 @@ func (h *Hub) SendBatch(entries []BatchEntry) (int, error) {
 	h.batches.Inc()
 
 	var first error
-	switch {
-	case h.uringOn.Load():
-		var ok bool
-		if first, ok = h.writeDestsUring(ds); ok {
-			break
-		}
-		// The ring went down (teardown or submitter panic) before this
-		// batch was taken; retry through the direct path.
-		fallthrough
-	case h.vectorized.Load():
+	if h.vectorized.Load() {
 		first = h.writeDestsVec(bb)
-	default:
+	} else {
 		first = h.writeDestsGeneric(ds)
 	}
 

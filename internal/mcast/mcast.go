@@ -85,14 +85,6 @@ type Hub struct {
 	gsoOn      atomic.Bool
 	gsoCapable bool
 
-	// The io_uring rung: when armed (EnableUring), batch destination
-	// vectors from every egress shard are enqueued to one shared
-	// submission ring whose submitter coalesces them into single
-	// io_uring_enter calls — batching across shards, not just within one
-	// flush. uring is nil until armed and after teardown.
-	uringOn atomic.Bool
-	uring   *uRing
-
 	// The egress ledger. sent and sentBytes count datagrams and payload
 	// bytes actually written; failed counts members a send could not
 	// reach; batches counts SendBatch dispatches that reached at least
@@ -122,12 +114,6 @@ type Hub struct {
 	gsoSegments  metrics.PaddedCounter
 	gsoSyscalls  metrics.PaddedCounter
 	gsoFallbacks metrics.PaddedCounter
-	// The io_uring ledger. uringSubmits counts io_uring_enter calls;
-	// uringSQEs the send SQEs they carried, so uringSQEs/uringSubmits is
-	// the achieved SQE depth — cross-shard coalescing pushes it above
-	// what any single shard's batch would reach.
-	uringSubmits metrics.PaddedCounter
-	uringSQEs    metrics.PaddedCounter
 
 	// failing tracks consecutive send failures per (group, member) edge,
 	// under mu; a member reaching EvictAfterFailures is removed from its
@@ -164,7 +150,7 @@ type HubConfig struct {
 	// there; sized for symmetry). Zero leaves the OS default.
 	RecvBufBytes int
 	// Logf, when non-nil, receives the hub's diagnostic notices — the
-	// single fall-back lines the fast-path probes (GSO, io_uring) emit
+	// single fall-back lines the fast-path probes (sendmmsg, GSO) emit
 	// when a kernel capability is missing or kill-switched.
 	Logf func(format string, args ...any)
 }
@@ -412,15 +398,6 @@ func (h *Hub) GSOSyscalls() int64 { return h.gsoSyscalls.Value() }
 // rejected a super-frame.
 func (h *Hub) GSOFallbacks() int64 { return h.gsoFallbacks.Value() }
 
-// UringActive reports whether the shared io_uring submission path is
-// armed; UringSubmits counts its io_uring_enter invocations and
-// UringSQEs the send SQEs they carried, so UringSQEs/UringSubmits is the
-// achieved SQE depth (cross-shard coalescing raises it above any single
-// shard's batch size).
-func (h *Hub) UringActive() bool   { return h.uringOn.Load() }
-func (h *Hub) UringSubmits() int64 { return h.uringSubmits.Value() }
-func (h *Hub) UringSQEs() int64    { return h.uringSQEs.Value() }
-
 // Evictions returns how many members have been removed after
 // EvictAfterFailures consecutive send failures.
 func (h *Hub) Evictions() int64 { return h.evicted.Value() }
@@ -429,17 +406,13 @@ func (h *Hub) Evictions() int64 { return h.evicted.Value() }
 // re-sends dispatched via SendRepairBatch.
 func (h *Hub) RepairDatagrams() int64 { return h.repairSent.Value() }
 
-// Close shuts the sending socket; subsequent Joins and Sends fail. When
-// the io_uring path is armed its submitter is stopped first — completing
-// or failing every in-flight batch — so no SQE can reference the socket
-// after it closes.
+// Close shuts the sending socket; subsequent Joins and Sends fail.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed.Swap(true) {
 		return nil
 	}
-	h.closeUring()
 	return h.conn.Close()
 }
 

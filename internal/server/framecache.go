@@ -26,8 +26,8 @@ import (
 // first repair) and stay forever — the working set is the whole catalog
 // and every chunk repeats every period, so there is nothing to evict to.
 // The unicast REPAIR path reads payload bytes straight out of resident
-// frames; a pacer only ever writes the 4 Seq bytes of its own channel's
-// frames, so the two never touch the same memory.
+// frames; an egress shard only ever writes the 4 Seq bytes of its own
+// channels' frames, so the two never touch the same memory.
 type frameCache struct {
 	chunkBytes int
 	// budget caps the total bytes of resident encoded frames; <= 0 means
@@ -166,8 +166,8 @@ func (cc *channelCache) encode(fc *frameCache, c int, dst, payload []byte) []byt
 // a fresh encode on a miss — installed into the cache while the budget
 // lasts, otherwise built in the caller's scratch buffer. The returned
 // frame's Seq field is unspecified; broadcast callers must wire.PatchSeq
-// it, repair callers read only the payload. Only the owning pacer may
-// patch a resident frame.
+// it, repair callers read only the payload. Only the owning egress shard
+// may patch a resident frame.
 func (fc *frameCache) acquire(cc *channelCache, c int, scratch *frameScratch) []byte {
 	slot := &cc.frames[c]
 	if p := slot.Load(); p != nil {
@@ -276,8 +276,8 @@ func (fc *frameCache) acquireParity(cc *channelCache, g, pi int, scratch *parity
 
 // frameScratch is a caller's reusable build space for non-resident
 // chunks: a payload buffer for the content function and a frame buffer
-// for the encoder. Each pacer and each control connection owns one, so
-// cache misses cost no steady-state allocation either.
+// for the encoder. Each wheel entry and each control connection owns one,
+// so cache misses cost no steady-state allocation either.
 type frameScratch struct {
 	payload []byte
 	frame   []byte

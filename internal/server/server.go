@@ -1,10 +1,10 @@
 // Package server implements the live Skyscraper Broadcasting server of the
-// demo: for each of the M videos it runs K channel pacers, each repeatedly
-// broadcasting its fragment — chunked, framed (internal/wire) and fanned
-// out through the multicast hub (internal/mcast) — on a rigid absolute
-// schedule: channel i's broadcasts start at epoch + n*size_i*unit for all
-// n, which is the alignment property the client's two-loader reception
-// plan depends on. A TCP control port handles the hello/join/leave
+// demo: for each of the M videos it broadcasts K channels, each repeating
+// its fragment — chunked, framed (internal/wire) and fanned out through
+// the multicast hub (internal/mcast) by the sharded timer wheel
+// (wheel.go) — on a rigid absolute schedule: channel i's broadcasts start
+// at epoch + n*size_i*unit for all n, which is the alignment property the
+// client's two-loader reception plan depends on. A TCP control port handles the hello/join/leave
 // signalling a real deployment would delegate to IGMP.
 //
 // Video minutes are compressed into short wall-clock units so examples and
@@ -42,7 +42,7 @@ type Config struct {
 	// BytesPerUnit so chunk boundaries never straddle units.
 	ChunkBytes int
 	// Faults, when non-nil, interposes the deterministic fault injector
-	// of internal/faults between the channel pacers and the multicast
+	// of internal/faults between the egress shards and the multicast
 	// hub: chunks are dropped, duplicated, reordered, or delayed per the
 	// plan, so the client's loss-recovery path can be exercised.
 	Faults *faults.Plan
@@ -87,16 +87,6 @@ type Config struct {
 	// StormWindow is the storm-coalescing window. Defaults to 2*Unit.
 	StormWindow time.Duration
 
-	// EgressEngine selects how channel schedules are driven: EngineWheel
-	// (the default when empty) runs all M·K channels from a small pool of
-	// sharded timer-wheel goroutines with batched fan-out; EngineUring is
-	// the wheel plus the hub's shared io_uring submission ring, batching
-	// egress across shards (opt-in; falls back to the wheel with one
-	// logged notice where the kernel lacks io_uring); EnginePacer is
-	// the legacy goroutine-per-channel engine, kept for A/B comparison
-	// and the golden equivalence test. All emit the identical broadcast
-	// sequence on the identical absolute grid.
-	EgressEngine string
 	// SendBufBytes sizes the multicast hub's kernel send buffer
 	// (SetWriteBuffer); batched egress hands the kernel bursts of up to
 	// 64 datagrams per syscall, and a default-sized buffer drops burst
@@ -122,9 +112,8 @@ type Config struct {
 	FecMode string
 
 	// PacerHook, when non-nil, is called for each chunk after the
-	// engine's timer fires and before the chunk is sent — test
-	// instrumentation; a hook that panics exercises the pacer/shard
-	// supervisor.
+	// wheel's timer fires and before the chunk is sent — test
+	// instrumentation; a hook that panics exercises the shard supervisor.
 	PacerHook func(video, channel int, rep uint32, chunk int)
 
 	// Logf, when non-nil, receives diagnostic output.
@@ -158,8 +147,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("server: StormThreshold = %d must be non-negative", c.StormThreshold)
 	case c.StormWindow < 0:
 		return fmt.Errorf("server: StormWindow = %v must be non-negative", c.StormWindow)
-	case c.EgressEngine != "" && c.EgressEngine != EngineWheel && c.EgressEngine != EnginePacer && c.EgressEngine != EngineUring:
-		return fmt.Errorf("server: EgressEngine = %q, want %q, %q or %q", c.EgressEngine, EngineWheel, EnginePacer, EngineUring)
 	case c.SendBufBytes < 0:
 		return fmt.Errorf("server: SendBufBytes = %d must be non-negative", c.SendBufBytes)
 	case c.RecvBufBytes < 0:
@@ -243,8 +230,8 @@ type Server struct {
 	parityFrames metrics.PaddedCounter
 	parityBytes  metrics.PaddedCounter
 
-	// pacerRestarts counts supervisor restarts after pacer (or egress
-	// shard) panics; driftEvents broadcasts that missed their schedule by
+	// pacerRestarts counts supervisor restarts after egress shard
+	// panics; driftEvents broadcasts that missed their schedule by
 	// over one unit; wheelWakeups timer wakeups of the wheel engine's
 	// shards — each one dispatches every chunk due in its tick.
 	pacerRestarts metrics.PaddedCounter
@@ -257,12 +244,12 @@ type Server struct {
 	// to the hot counters above.
 	controlSessions metrics.PaddedGauge
 
-	// shards is how many egress shard goroutines the wheel engine runs
-	// (0 under EnginePacer); set once in Start.
+	// shards is how many egress shard goroutines the wheel runs; set once
+	// in Start.
 	shards int
 
 	stop chan struct{}
-	// wg tracks the pacer supervisors and the accept loop; connWG the
+	// wg tracks the shard supervisors and the accept loop; connWG the
 	// per-connection control handlers. They are separate so Drain can wait
 	// for in-flight handlers alone, and Close waits wg first — acceptLoop
 	// is the only connWG.Add site, so once it exits connWG cannot grow.
@@ -308,7 +295,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start opens the control listener and launches every channel pacer. The
+// Start opens the control listener and launches the egress shards. The
 // broadcast epoch is the moment Start returns.
 func (s *Server) Start() error {
 	hub, err := mcast.NewHubConfigured(mcast.HubConfig{
@@ -318,11 +305,6 @@ func (s *Server) Start() error {
 	})
 	if err != nil {
 		return err
-	}
-	if s.cfg.EgressEngine == EngineUring {
-		if err := hub.EnableUring(); err != nil {
-			s.cfg.Logf("server: io_uring egress unavailable (%v); using the wheel engine", err)
-		}
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -346,20 +328,11 @@ func (s *Server) Start() error {
 	s.epoch = time.Now()
 
 	sch := s.cfg.Scheme
-	if s.cfg.EgressEngine == EnginePacer {
-		for v := 0; v < sch.Config().Videos; v++ {
-			for i := 1; i <= sch.K(); i++ {
-				s.wg.Add(1)
-				go s.runPacer(v, i)
-			}
-		}
-	} else {
-		s.startWheel()
-	}
+	s.startWheel()
 	s.wg.Add(1)
 	go s.acceptLoop()
-	s.cfg.Logf("server: broadcasting %d videos x %d channels on %s (unit %v, engine %s, %d shards, vectorized=%v, gso=%v)",
-		sch.Config().Videos, sch.K(), ln.Addr(), s.cfg.Unit, s.EgressEngine(), s.shards, hub.Vectorized(), hub.GSO())
+	s.cfg.Logf("server: broadcasting %d videos x %d channels on %s (unit %v, %d egress shards, vectorized=%v, gso=%v)",
+		sch.Config().Videos, sch.K(), ln.Addr(), s.cfg.Unit, s.shards, hub.Vectorized(), hub.GSO())
 	return nil
 }
 
@@ -414,30 +387,16 @@ func (s *Server) RepairTokens() int64 {
 	return int64(s.repairBudget.Level(time.Now()))
 }
 
-// PacerRestarts returns how many pacer (or egress shard) panics the
-// supervisor has absorbed; PacerDriftEvents how many broadcasts missed
-// their absolute schedule by more than one unit.
+// PacerRestarts returns how many egress shard panics the supervisor has
+// absorbed; PacerDriftEvents how many broadcasts missed their absolute
+// schedule by more than one unit.
 func (s *Server) PacerRestarts() int64    { return s.pacerRestarts.Value() }
 func (s *Server) PacerDriftEvents() int64 { return s.driftEvents.Value() }
 
-// EgressEngine returns the resolved engine name driving the broadcast
-// schedules. EngineUring is reported only while the hub's ring is
-// actually armed — a failed EnableUring (old kernel) or a runtime
-// teardown resolves honestly to the wheel.
-func (s *Server) EgressEngine() string {
-	if s.cfg.EgressEngine == EnginePacer {
-		return EnginePacer
-	}
-	if s.hub != nil && s.hub.UringActive() {
-		return EngineUring
-	}
-	return EngineWheel
-}
-
-// EgressShards returns how many shard goroutines the wheel engine drives
-// all channels from (0 under the legacy per-pacer engine); EgressWakeups
-// how many timer wakeups those shards have taken — each wakeup dispatches
-// every chunk due in its tick, so wakeups ≪ chunks is the wheel working.
+// EgressShards returns how many shard goroutines the wheel drives all
+// channels from; EgressWakeups how many timer wakeups those shards have
+// taken — each wakeup dispatches every chunk due in its tick, so
+// wakeups ≪ chunks is the wheel working.
 func (s *Server) EgressShards() int    { return s.shards }
 func (s *Server) EgressWakeups() int64 { return s.wheelWakeups.Value() }
 
@@ -448,7 +407,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // (for tests, /status and cmd/skychaos).
 func (s *Server) FrameCacheStats() CacheStats { return s.cache.stats() }
 
-// Close stops all pacers, the listener, and open control connections.
+// Close stops the egress shards, the listener, and open control connections.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -467,7 +426,7 @@ func (s *Server) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	// Pacer supervisors and the accept loop first: acceptLoop is the only
+	// Shard supervisors and the accept loop first: acceptLoop is the only
 	// place connWG grows, so after wg drains the handler count is final.
 	s.wg.Wait()
 	s.connWG.Wait()
@@ -490,121 +449,6 @@ func (s *Server) fragmentBase(i int) int64 {
 		units += sz
 	}
 	return units * int64(s.cfg.BytesPerUnit)
-}
-
-// pace runs one channel: video v, channel i. Chunks of repetition n are
-// sent evenly across [epoch + n*period, epoch + (n+1)*period). It runs
-// under the supervisor (runPacer): a panic is recovered and pace is
-// re-entered, so the starting position is derived from the wall clock and
-// the absolute broadcast grid — a restarted pacer rejoins the schedule
-// mid-repetition instead of replaying missed chunks in a burst.
-//
-// Per chunk the pacer acquires the repetition-invariant frame from the
-// cache — a pointer load once resident — patches the 4-byte Seq field in
-// place and hands it to the fan-out: the steady-state broadcast cost is a
-// header patch plus the sends, with zero allocation and no payload or CRC
-// recomputation. Non-resident chunks (budget exhausted or first touch)
-// re-encode into pacer-owned scratch with their cached CRC.
-//
-// A drift watchdog counts every chunk sent more than one unit after its
-// scheduled instant: sustained drift means the host cannot keep the grid
-// and clients will see schedule misses as losses.
-func (s *Server) pace(v, i int) {
-	var (
-		size    = s.cfg.Scheme.Sizes()[i-1]
-		period  = time.Duration(size) * s.cfg.Unit
-		total   = s.fragmentBytes(i)
-		chunks  = total / s.cfg.ChunkBytes
-		spacing = period / time.Duration(chunks)
-		group   = mcast.Group{Video: v, Channel: i}
-		cc      = s.cache.channel(v, i)
-		scratch = newFrameScratch(s.cfg.ChunkBytes)
-		timer   = time.NewTimer(0)
-	)
-	var pscratch *parityScratch
-	if s.cfg.FecGroup > 0 {
-		pscratch = newParityScratch(s.cfg.ChunkBytes)
-	}
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
-	}
-	// Resume position: the next chunk at or after now on the absolute
-	// grid. At first start elapsed is ~0, so this is (n=0, c=0).
-	n, c := uint32(0), 0
-	if elapsed := time.Since(s.epoch); elapsed > 0 {
-		n = uint32(elapsed / period)
-		c = int((elapsed % period) / spacing)
-		if c >= chunks {
-			n, c = n+1, 0
-		}
-	}
-	for ; ; n++ {
-		repStart := s.epoch.Add(time.Duration(n) * period)
-		for ; c < chunks; c++ {
-			at := repStart.Add(time.Duration(c) * spacing)
-			timer.Reset(time.Until(at))
-			select {
-			case <-s.stop:
-				return
-			case <-timer.C:
-			}
-			if hook := s.cfg.PacerHook; hook != nil {
-				hook(v, i, n, c)
-			}
-			frame := s.cache.acquire(cc, c, scratch)
-			if err := wire.PatchSeq(frame, n); err != nil {
-				s.cfg.Logf("server: patching %v seq %d: %v", group, n, err)
-				return
-			}
-			if _, err := s.send.Send(group, frame); err != nil {
-				select {
-				case <-s.stop:
-					return
-				default:
-				}
-				s.cfg.Logf("server: sending %v seq %d: %v", group, n, err)
-			}
-			// The stripe: one (or two, in RS mode) parity frames follow the
-			// last data chunk of every transmission group, Seq-patched to
-			// the same repetition.
-			if g := s.cfg.FecGroup; g > 0 && ((c+1)%g == 0 || c == chunks-1) {
-				s.sendParity(group, cc, c/g, n, pscratch)
-			}
-			if late := time.Since(at); late > s.cfg.Unit {
-				if d := s.driftEvents.Add(1); d == 1 || d%256 == 0 {
-					s.cfg.Logf("server: pacing drift: %v seq %d chunk %d sent %v late (%d drift events)",
-						group, n, c, late, d)
-				}
-			}
-		}
-		c = 0
-	}
-}
-
-// sendParity broadcasts stripe group pg's parity frame(s) for repetition
-// n, immediately behind the group's last data chunk. Parity frames are
-// as repetition-invariant as the chunks they cover, so the steady state
-// is the same acquire + 4-byte Seq patch the data path pays.
-func (s *Server) sendParity(g mcast.Group, cc *channelCache, pg int, n uint32, scratch *parityScratch) {
-	for pi := 0; pi < s.cache.nparity; pi++ {
-		frame := s.cache.acquireParity(cc, pg, pi, scratch)
-		if err := wire.PatchSeq(frame, n); err != nil {
-			s.cfg.Logf("server: patching %v parity seq %d: %v", g, n, err)
-			return
-		}
-		if _, err := s.send.Send(g, frame); err != nil {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			s.cfg.Logf("server: sending %v parity seq %d: %v", g, n, err)
-			continue
-		}
-		s.parityFrames.Inc()
-		s.parityBytes.Add(int64(len(frame)))
-	}
 }
 
 // fillRange copies the broadcast bytes of [off, off+len(dst)) of channel
@@ -900,8 +744,6 @@ func (s *Server) serveControl(conn net.Conn) {
 				Superframes:       s.hub.Superframes(),
 				GSOSegments:       s.hub.GSOSegments(),
 				GSOFallbacks:      s.hub.GSOFallbacks(),
-				UringSubmits:      s.hub.UringSubmits(),
-				UringSQEs:         s.hub.UringSQEs(),
 				ParityFrames:      s.parityFrames.Value(),
 				ParityBytes:       s.parityBytes.Value(),
 				Draining:          s.draining.Load(),

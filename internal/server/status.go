@@ -68,18 +68,15 @@ type StatusSnapshot struct {
 	// RepairTokens is the repair budget's current level in bytes, -1 when
 	// unlimited.
 	RepairTokens int64 `json:"repairTokens"`
-	// PacerRestarts counts supervisor restarts after pacer panics;
+	// PacerRestarts counts supervisor restarts after egress shard panics;
 	// PacerDriftEvents broadcasts more than one unit behind schedule.
 	PacerRestarts    int64 `json:"pacerRestarts"`
 	PacerDriftEvents int64 `json:"pacerDriftEvents"`
-	// EgressEngine names the resolved engine driving the channel
-	// schedules ("wheel", "pacer", or "uring" while the shared io_uring
-	// ring is armed); EgressShards how many shard goroutines the wheel
-	// runs (0 under the per-pacer engine); EgressWakeups their timer
-	// wakeups, each dispatching every chunk due in its tick.
-	EgressEngine  string `json:"egressEngine"`
-	EgressShards  int    `json:"egressShards"`
-	EgressWakeups int64  `json:"egressWakeups"`
+	// EgressShards counts the shard goroutines the timer wheel runs;
+	// EgressWakeups their timer wakeups, each dispatching every chunk due
+	// in its tick.
+	EgressShards  int   `json:"egressShards"`
+	EgressWakeups int64 `json:"egressWakeups"`
 	// EgressBatches counts batched hub dispatches and BatchedBytes the
 	// payload bytes they carried; EgressSyscalls the kernel send
 	// invocations (sendmmsg calls on the vectorized path, per-datagram
@@ -120,14 +117,6 @@ type StatusSnapshot struct {
 	GroSegments     int64   `json:"groSegments,omitempty"`
 	GroFallbacks    int64   `json:"groFallbacks,omitempty"`
 	ReadErrors      int64   `json:"readErrors,omitempty"`
-	// The io_uring ledger. UringSubmits counts io_uring_enter calls of
-	// the shared cross-shard submission ring; UringSQEs the send SQEs
-	// they carried; SQEDepth the achieved depth per submit
-	// (UringSQEs/UringSubmits) — cross-shard coalescing pushes it above
-	// any single shard's batch size.
-	UringSubmits int64   `json:"uringSubmits"`
-	UringSQEs    int64   `json:"uringSqes"`
-	SQEDepth     float64 `json:"sqeDepth"`
 	// MembersEvicted counts group members removed after consecutive send
 	// failures.
 	MembersEvicted int64 `json:"membersEvicted"`
@@ -158,7 +147,6 @@ func (s *Server) snapshot() StatusSnapshot {
 		return float64(num) / float64(den)
 	}
 	superframes, gsoSegments := s.hub.Superframes(), s.hub.GSOSegments()
-	uringSubmits, uringSQEs := s.hub.UringSubmits(), s.hub.UringSQEs()
 	ing := mcast.IngressStats()
 	return StatusSnapshot{
 		RepairsServed:         s.repairs.Value(),
@@ -177,7 +165,6 @@ func (s *Server) snapshot() StatusSnapshot {
 		RepairTokens:          s.RepairTokens(),
 		PacerRestarts:         s.pacerRestarts.Value(),
 		PacerDriftEvents:      s.driftEvents.Value(),
-		EgressEngine:          s.EgressEngine(),
 		EgressShards:          s.shards,
 		EgressWakeups:         s.wheelWakeups.Value(),
 		EgressBatches:         s.hub.Batches(),
@@ -190,9 +177,6 @@ func (s *Server) snapshot() StatusSnapshot {
 		SegmentsPerSuperframe: ratio(gsoSegments, superframes),
 		SegmentsPerSyscall:    ratio(gsoSegments, s.hub.GSOSyscalls()),
 		GSOFallbacks:          s.hub.GSOFallbacks(),
-		UringSubmits:          uringSubmits,
-		UringSQEs:             uringSQEs,
-		SQEDepth:              ratio(uringSQEs, uringSubmits),
 		BatchedReads:          ing.BatchedReads,
 		ReadSyscalls:          ing.ReadSyscalls,
 		ReadsPerSyscall:       ratio(ing.BatchedReads, ing.ReadSyscalls),

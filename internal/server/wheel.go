@@ -1,35 +1,33 @@
-// The batched egress engine: a sharded hierarchical timer wheel that
-// drives every (video, channel) broadcast schedule from a small fixed
-// pool of shard goroutines.
+// The egress engine: a sharded hierarchical timer wheel that drives
+// every (video, channel) broadcast schedule from a small fixed pool of
+// shard goroutines.
 //
-// The per-pacer engine (pace, supervisor.go) keeps one goroutine and one
-// timer per channel: M videos × K channels means M·K timers firing
-// independently, M·K wakeups per chunk interval, and one Send — itself
-// one syscall per member before the vectorized hub — per chunk. The
-// wheel inverts that: each shard owns a fixed subset of the channels,
-// hashes their next-due instants into a timer wheel quantized to the
-// channels' chunk spacing, and sleeps until the earliest due tick. One
-// wakeup collects *every* chunk due in that tick across all the shard's
-// channels and hands them to the hub as a single batch
-// (mcast.BatchSender), which puts them on the wire in sendmmsg batches.
-// Steady state is therefore one timer wakeup and a handful of syscalls
-// per tick per shard, independent of how many channels share the tick —
-// the paper's O(channels) server cost with the constant actually small.
+// The schedule is the paper's broadcast grid. Channel i repeats its
+// fragment every period_i = size_i·unit, split into chunks_i equal
+// chunks spaced spacing_i = period_i/chunks_i apart, so chunk c of
+// repetition n is due at epoch + n·period_i + c·spacing_i — pure
+// arithmetic, never a running count of sends.
 //
-// Everything the per-pacer engine guarantees is preserved:
+// Each shard owns a fixed subset of the channels, hashes their next-due
+// instants into a timer wheel quantized to the channels' chunk spacing,
+// and sleeps until the earliest due tick. One wakeup collects *every*
+// chunk due in that tick across all the shard's channels and hands them
+// to the hub as a single batch (mcast.BatchSender), which puts them on
+// the wire through the generic → sendmmsg → GSO ladder. Steady state is
+// therefore one timer wakeup and a handful of syscalls per tick per
+// shard, independent of how many channels share the tick — the paper's
+// O(channels) server cost with the constant actually small.
 //
-//   - The absolute epoch-anchored grid: entry positions are derived from
-//     the wall clock (resync), never from send counts, so chunk c of
-//     repetition n is sent at epoch + n*period_i + c*spacing_i exactly as
-//     pace computes it — the golden equivalence test pins the two engines
-//     to the same (rep, chunk) sequence.
-//   - Supervision: a shard runs under the same panic-recovery/backoff
-//     loop as a pacer (runWheelShard mirrors runPacer); a restarted shard
-//     resyncs every entry from the clock and rejoins the grid
-//     mid-repetition instead of replaying a burst.
+//   - The grid is absolute: entry positions are derived from the wall
+//     clock (resync) and recomputed from (n, c) on every step (advance),
+//     so a chunk never leaves before its due instant less one quantum,
+//     and every channel walks its (rep, chunk) sequence contiguously.
+//   - Supervision: a shard runs under a panic-recovery/backoff loop
+//     (runWheelShard); a restarted shard resyncs every entry from the
+//     clock and rejoins the grid mid-repetition instead of replaying a
+//     burst.
 //   - The drift watchdog: every chunk dispatched more than one unit after
-//     its scheduled instant counts a drift event, same threshold, same
-//     rate-limited logging.
+//     its due instant counts a drift event, with rate-limited logging.
 package server
 
 import (
@@ -39,22 +37,6 @@ import (
 
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/wire"
-)
-
-// Egress engine names for Config.EgressEngine.
-const (
-	// EngineWheel is the default: sharded timer wheel + batched fan-out.
-	EngineWheel = "wheel"
-	// EnginePacer is the legacy goroutine-per-channel engine, kept
-	// selectable for A/B comparison and the golden equivalence test.
-	EnginePacer = "pacer"
-	// EngineUring is the wheel engine with the hub's shared io_uring
-	// submission path armed: shards enqueue their expanded destination
-	// vectors to one ring whose submitter coalesces them into single
-	// io_uring_enter calls, batching egress across shards. Opt-in;
-	// where the kernel lacks io_uring the server logs one notice and
-	// resolves to the wheel engine.
-	EngineUring = "uring"
 )
 
 // wheelMaxRun caps how many chunks one entry may stage into a single
@@ -101,15 +83,16 @@ type wheelEntry struct {
 	// current dispatch — the most-late one — for the post-send drift
 	// check, since catch-up staging advances due before the batch leaves.
 	firstDue time.Duration
-	// dead marks a channel whose frames can no longer be patched (the
-	// same condition that makes pace return); it is dropped from the
-	// rotation.
+	// dead marks a channel whose frames can no longer be patched (a
+	// Seq patch failed, so it cannot broadcast coherent frames); it is
+	// dropped from the rotation.
 	dead bool
 }
 
-// resync points the entry at the next chunk at or after elapsed on the
-// absolute grid — the identical floor arithmetic pace uses to resume, so
-// a shard restart rejoins the schedule exactly where a pacer would.
+// resync points the entry at the grid slot containing elapsed:
+// n = ⌊elapsed/period⌋ and c = ⌊(elapsed mod period)/spacing⌋, wrapping
+// to (n+1, 0) past the last chunk. A shard (re)start therefore rejoins
+// the schedule mid-repetition instead of replaying missed chunks.
 func (e *wheelEntry) resync(elapsed time.Duration) {
 	if elapsed < 0 {
 		elapsed = 0
@@ -306,8 +289,8 @@ func (sh *wheelShard) nextParitySpare() *parityScratch {
 	return sp
 }
 
-// newWheelEntry builds the schedule state for (video v, channel i) — the
-// same geometry pace derives.
+// newWheelEntry builds the schedule state for (video v, channel i): the
+// period is the fragment's size in units, split evenly over its chunks.
 func (s *Server) newWheelEntry(v, i int) *wheelEntry {
 	size := s.cfg.Scheme.Sizes()[i-1]
 	period := time.Duration(size) * s.cfg.Unit
@@ -325,8 +308,8 @@ func (s *Server) newWheelEntry(v, i int) *wheelEntry {
 }
 
 // startWheel launches the egress shards: every (video, channel) entry is
-// dealt round-robin across min(GOMAXPROCS, channels) shards, each
-// supervised like a pacer.
+// dealt round-robin across min(GOMAXPROCS, channels) shards, each under
+// its own supervisor.
 func (s *Server) startWheel() {
 	sch := s.cfg.Scheme
 	var entries []*wheelEntry
@@ -350,11 +333,9 @@ func (s *Server) startWheel() {
 	}
 }
 
-// runWheelShard supervises one shard exactly as runPacer supervises one
-// pacer: panics are recovered, the shard restarts with exponential
-// backoff, and a stable run earns the backoff reset. Restarts land in the
-// same pacerRestarts counter — a shard restart is the wheel engine's
-// pacer restart.
+// runWheelShard supervises one shard: panics are recovered, the shard
+// restarts with exponential backoff, and a stable run earns the backoff
+// reset. Restarts count in pacerRestarts (reported as PacerRestarts).
 func (s *Server) runWheelShard(sh *wheelShard) {
 	defer s.wg.Done()
 	backoff := pacerRestartBase
@@ -448,9 +429,10 @@ func (sh *wheelShard) run() {
 	}
 }
 
-// dispatch sends one tick's worth of chunks. Frame preparation is
-// identical to pace — hook, cache acquire, 4-byte Seq patch — but the
-// prepared frames leave as one hub batch when the sender supports it
+// dispatch sends one tick's worth of chunks. Per chunk it calls the hook,
+// acquires the repetition-invariant frame from the cache and patches its
+// 4-byte Seq field; the prepared frames leave as one hub batch when the
+// sender supports it
 // (it does not when a fault injector is interposed, which must keep
 // deciding chunk by chunk; those go through per-chunk Send unchanged).
 //
@@ -458,10 +440,10 @@ func (sh *wheelShard) run() {
 // a restart, a dense schedule — every chunk already due is staged in
 // the same dispatch as one same-group contiguous run (capped at
 // wheelMaxRun and at the repetition boundary), instead of one chunk per
-// wakeup. The run order is the
-// schedule order, so per-channel (rep, chunk) sequences stay exactly
-// what the pacer engine produces, and the contiguous same-group shape
-// is precisely what the hub's GSO path coalesces into super-frames.
+// wakeup. The run order is the grid order, so each channel's (rep,
+// chunk) sequence stays contiguous and no chunk leaves before its due
+// instant, and the same-group run is precisely what the hub's GSO path
+// coalesces into super-frames.
 func (sh *wheelShard) dispatch() {
 	s := sh.s
 	hook := s.cfg.PacerHook
@@ -484,8 +466,7 @@ func (sh *wheelShard) dispatch() {
 			n, c := e.n, e.c
 			frame := s.cache.acquire(e.cc, c, scratch)
 			if err := wire.PatchSeq(frame, n); err != nil {
-				// The channel cannot broadcast coherent frames; retire it,
-				// as pace does by returning.
+				// The channel cannot broadcast coherent frames; retire it.
 				s.cfg.Logf("server: patching %v seq %d: %v", e.group, n, err)
 				e.dead = true
 				break
@@ -529,8 +510,7 @@ func (sh *wheelShard) dispatch() {
 			continue
 		}
 		// One drift sample per entry per dispatch, taken against the
-		// first (most-late) chunk staged — the chunk the old
-		// one-chunk-per-wakeup engine would have sampled.
+		// first (most-late) chunk staged.
 		if late := time.Since(s.epoch.Add(e.firstDue)); late > s.cfg.Unit {
 			if d := s.driftEvents.Add(1); d == 1 || d%256 == 0 {
 				s.cfg.Logf("server: pacing drift: %v seq %d chunk %d sent %v late (%d drift events)",

@@ -158,11 +158,6 @@ type Stats struct {
 	Superframes  int64 `json:"superframes,omitempty"`
 	GSOSegments  int64 `json:"gsoSegments,omitempty"`
 	GSOFallbacks int64 `json:"gsoFallbacks,omitempty"`
-	// The io_uring ledger. UringSubmits counts io_uring_enter calls of
-	// the shared cross-shard submission ring; UringSQEs the send SQEs
-	// they carried, so UringSQEs/UringSubmits is the achieved SQE depth.
-	UringSubmits int64 `json:"uringSubmits,omitempty"`
-	UringSQEs    int64 `json:"uringSqes,omitempty"`
 	// The proactive FEC ledger. ParityFrames counts parity frames put
 	// on the wire alongside the broadcast schedule; ParityBytes their
 	// total encoded bytes, so ParityBytes/BatchedBytes bounds the

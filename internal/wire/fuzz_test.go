@@ -36,7 +36,8 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzChunkDecode fuzzes the data-chunk decoder through the full cached-
 // frame life cycle: any accepted frame must survive Encode → PatchSeq →
-// Decode with only the Seq field changed — the property the server's
+// Decode with only the Seq field changed, and AppendPatched must build
+// the same bytes as a copy — the property the server's
 // repetition-invariant frame cache rests on. Seeds cover the boundary
 // payload sizes (0, 1, MaxPayload) plus KindParity frames, which share
 // the header layout: the data decoder must reject them (reserved byte),
@@ -106,8 +107,15 @@ func FuzzChunkDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted chunk failed to re-encode: %v", err)
 		}
+		cp, err := AppendPatched(nil, re, seq)
+		if err != nil {
+			t.Fatalf("AppendPatched on a fresh encode: %v", err)
+		}
 		if err := PatchSeq(re, seq); err != nil {
 			t.Fatalf("PatchSeq on a fresh encode: %v", err)
+		}
+		if !bytes.Equal(cp, re) {
+			t.Fatal("AppendPatched copy differs from the in-place PatchSeq")
 		}
 		got, err := Decode(re)
 		if err != nil {

@@ -115,6 +115,27 @@ func (c *Chunk) appendFrame(dst []byte, crc uint32) []byte {
 // can be re-broadcast under any repetition number with this 4-byte patch
 // and no re-encode. The frame must start with a valid chunk header.
 func PatchSeq(frame []byte, seq uint32) error {
+	if err := checkPatchable(frame); err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(frame[seqOffset:], seq)
+	return nil
+}
+
+// AppendPatched appends a copy of frame to dst with its Seq field set to
+// seq, never reading frame's own Seq bytes: a caller may copy a shared
+// frame while its owner patches that field on another goroutine.
+func AppendPatched(dst, frame []byte, seq uint32) ([]byte, error) {
+	if err := checkPatchable(frame); err != nil {
+		return dst, err
+	}
+	dst = append(dst, frame[:seqOffset]...)
+	dst = binary.BigEndian.AppendUint32(dst, seq)
+	return append(dst, frame[seqOffset+4:]...), nil
+}
+
+// checkPatchable reports whether frame starts with a valid chunk header.
+func checkPatchable(frame []byte) error {
 	if len(frame) < headerSize {
 		return fmt.Errorf("%w: %d bytes", ErrShortFrame, len(frame))
 	}
@@ -124,7 +145,6 @@ func PatchSeq(frame []byte, seq uint32) error {
 	if frame[2] != Version {
 		return fmt.Errorf("%w: %d", ErrBadVersion, frame[2])
 	}
-	binary.BigEndian.PutUint32(frame[seqOffset:], seq)
 	return nil
 }
 

@@ -29,7 +29,7 @@ goversion=$(go version 2>/dev/null | awk '{print $3}' || echo unknown)
 
 # Kernel version and egress fast-path capabilities: syscalls-per-datagram
 # numbers depend on whether this kernel offers sendmmsg, UDP GSO
-# (UDP_SEGMENT, >= 4.18) and io_uring sendmsg, so the stamp keeps records
+# (UDP_SEGMENT, >= 4.18), recvmmsg and UDP GRO, so the stamp keeps records
 # from different kernels from being compared silently. The probe is the
 # same one the hub runs at creation (skychaos -egress-caps); if the probe
 # binary cannot run, the caps are recorded as unknown rather than guessed.
