@@ -89,7 +89,7 @@ bench:
 
 # Record the sweep/figure benchmark trajectory (see EXPERIMENTS.md).
 bench-sweep:
-	$(GO) test -bench 'Sweep|Figures' -run '^$$' -json . > BENCH_sweep.json
+	$(GO) test -bench 'Sweep|Figures|Sim.*Client' -run '^$$' -json . > BENCH_sweep.json
 	$(BENCHMETA) bench-sweep >> BENCH_sweep.json
 
 # Record the broadcast data-path benchmarks — per-chunk encode (seed vs

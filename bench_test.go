@@ -21,6 +21,7 @@ import (
 	"skyscraper/internal/pyramid"
 	"skyscraper/internal/series"
 	"skyscraper/internal/sim"
+	"skyscraper/internal/staggered"
 	"skyscraper/internal/unicast"
 	"skyscraper/internal/vod"
 )
@@ -378,7 +379,7 @@ func BenchmarkSeriesGeneration(b *testing.B) {
 	_ = v
 }
 
-// BenchmarkSimSBClient measures one full event-simulated SB reception.
+// BenchmarkSimSBClient measures one full simulated SB reception.
 func BenchmarkSimSBClient(b *testing.B) {
 	sch, err := core.New(vod.DefaultConfig(320), 52)
 	if err != nil {
@@ -393,7 +394,7 @@ func BenchmarkSimSBClient(b *testing.B) {
 	}
 }
 
-// BenchmarkSimPBClient measures one full event-simulated PB reception.
+// BenchmarkSimPBClient measures one full simulated PB reception.
 func BenchmarkSimPBClient(b *testing.B) {
 	sch, err := pyramid.New(vod.DefaultConfig(320), pyramid.MethodB)
 	if err != nil {
@@ -408,7 +409,7 @@ func BenchmarkSimPBClient(b *testing.B) {
 	}
 }
 
-// BenchmarkSimPPBClient measures one full event-simulated PPB reception,
+// BenchmarkSimPPBClient measures one full simulated PPB reception,
 // including the pause/resume burst schedule.
 func BenchmarkSimPPBClient(b *testing.B) {
 	sch, err := ppb.New(vod.DefaultConfig(320), ppb.MethodB)
@@ -416,6 +417,22 @@ func BenchmarkSimPPBClient(b *testing.B) {
 		b.Fatal(err)
 	}
 	cs := sim.NewPPB(sch)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cs.Client(float64(i%1000)*0.37, i%10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimStaggeredClient measures one full simulated staggered
+// reception: one pass-through flow, so it prices the replay's fixed cost.
+func BenchmarkSimStaggeredClient(b *testing.B) {
+	sch, err := staggered.New(vod.DefaultConfig(320))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := sim.NewStaggered(sch)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := cs.Client(float64(i%1000)*0.37, i%10); err != nil {

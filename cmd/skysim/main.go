@@ -1,4 +1,4 @@
-// Command skysim runs the event-driven broadcast simulator for one scheme
+// Command skysim runs the population simulator for one scheme
 // and reports measured access latency, client buffer occupancy and stream
 // concurrency over a population of clients.
 //

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -83,41 +85,55 @@ func (bp *BufferProfile) MaxMbit(rateMbps, unitMin float64) float64 {
 // length in units — so it works even for uncapped fragmentations whose unit
 // counts exceed 10^12.
 func (s *Scheme) Profile(plan *Schedule) (*BufferProfile, error) {
+	bp := &BufferProfile{}
+	if _, err := s.profileInto(bp, plan, nil); err != nil {
+		return nil, err
+	}
+	return bp, nil
+}
+
+// slopeEvent is a change of the buffer curve's slope at time t.
+type slopeEvent struct {
+	t     int64
+	slope int64
+}
+
+// profileInto computes Profile's result into bp, reusing the storage of
+// bp.Points and of events, and returns the events buffer for the next call.
+func (s *Scheme) profileInto(bp *BufferProfile, plan *Schedule, events []slopeEvent) ([]slopeEvent, error) {
 	start := plan.PlayStartUnit
 	end := start + s.total
-	type event struct {
-		t     int64
-		slope int64
-	}
-	events := make([]event, 0, 2*len(plan.Downloads)+2)
 	// Playback is one continuous stream over the whole video.
-	events = append(events, event{start, -1}, event{end, +1})
+	events = append(events[:0], slopeEvent{start, -1}, slopeEvent{end, +1})
 	for _, dl := range plan.Downloads {
 		if e := dl.EndUnit(); e > end {
 			end = e
 		}
-		events = append(events, event{dl.StartUnit, +1}, event{dl.EndUnit(), -1})
+		events = append(events, slopeEvent{dl.StartUnit, +1}, slopeEvent{dl.EndUnit(), -1})
 		// Per-fragment causality: fragment j must start downloading no
 		// later than its playback starts.
 		for j := 0; j < dl.Group.Count; j++ {
 			dStart := dl.FragmentStart(j)
 			pStart := start + dl.Group.StartUnit + int64(j)*dl.Group.Size
 			if dStart > pStart {
-				return nil, fmt.Errorf("core: jitter: fragment %d downloads at %d but plays at %d",
+				return events, fmt.Errorf("core: jitter: fragment %d downloads at %d but plays at %d",
 					dl.Group.First+j, dStart, pStart)
 			}
 		}
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].t < events[j].t })
+	// Slopes at equal times are summed, so the order within a tie does
+	// not matter.
+	slices.SortFunc(events, func(a, b slopeEvent) int { return cmp.Compare(a.t, b.t) })
 
-	bp := &BufferProfile{StartUnit: start, EndUnit: end}
+	bp.StartUnit, bp.EndUnit = start, end
+	bp.Points = slices.Grow(bp.Points[:0], len(events)+1)
 	var occ, slope, prevT int64
 	prevT = start
 	for i := 0; i < len(events); {
 		t := events[i].t
 		occ += slope * (t - prevT)
 		if occ < 0 {
-			return nil, fmt.Errorf("core: jitter: buffer underrun of %d units at time %d", -occ, t)
+			return events, fmt.Errorf("core: jitter: buffer underrun of %d units at time %d", -occ, t)
 		}
 		for i < len(events) && events[i].t == t {
 			slope += events[i].slope
@@ -131,9 +147,9 @@ func (s *Scheme) Profile(plan *Schedule) (*BufferProfile, error) {
 		bp.Points = append(bp.Points, ProfilePoint{Unit: end, Occupancy: occ})
 	}
 	if f := bp.Final(); f != 0 {
-		return nil, fmt.Errorf("core: accounting error: buffer holds %d units after playback ends", f)
+		return events, fmt.Errorf("core: accounting error: buffer holds %d units after playback ends", f)
 	}
-	return bp, nil
+	return events, nil
 }
 
 // PhasePeriod returns the period after which client behavior repeats as a
@@ -188,13 +204,18 @@ func (s *Scheme) WorstCaseBuffer(maxPhases int64) (WorstCase, error) {
 		stride = (period + maxPhases - 1) / maxPhases
 	}
 	wc := WorstCase{}
+	// One plan, profile and event buffer serve every phase.
+	var (
+		plan   Schedule
+		bp     BufferProfile
+		events []slopeEvent
+		err    error
+	)
 	for phase := int64(0); phase < period; phase += stride {
-		plan, err := s.PlanSchedule(phase)
-		if err != nil {
+		if err = plan.fill(s.groups, phase); err != nil {
 			return wc, err
 		}
-		bp, err := s.Profile(plan)
-		if err != nil {
+		if events, err = s.profileInto(&bp, &plan, events); err != nil {
 			return wc, err
 		}
 		wc.Phases++

@@ -113,26 +113,36 @@ func (s *Scheme) PlanSchedule(playStart int64) (*Schedule, error) {
 // network clients that learn the fragmentation from the server's handshake
 // rather than holding a full Scheme.
 func PlanForGroups(groups []series.Group, playStart int64) (*Schedule, error) {
+	plan := &Schedule{Downloads: make([]Download, 0, len(groups))}
+	if err := plan.fill(groups, playStart); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// fill overwrites p with the reception plan of PlanForGroups, reusing the
+// storage of p.Downloads.
+func (p *Schedule) fill(groups []series.Group, playStart int64) error {
 	if playStart < 0 {
-		return nil, fmt.Errorf("core: PlanForGroups(%d): playback start must be >= 0", playStart)
+		return fmt.Errorf("core: PlanForGroups(%d): playback start must be >= 0", playStart)
 	}
 	if len(groups) == 0 {
-		return nil, fmt.Errorf("core: PlanForGroups: no transmission groups")
+		return fmt.Errorf("core: PlanForGroups: no transmission groups")
 	}
-	free := map[LoaderID]int64{OddLoader: playStart, EvenLoader: playStart}
-	plan := &Schedule{PlayStartUnit: playStart, Downloads: make([]Download, 0, len(groups))}
+	free := [2]int64{OddLoader: playStart, EvenLoader: playStart}
+	p.PlayStartUnit, p.Downloads = playStart, p.Downloads[:0]
 	for _, g := range groups {
 		ld := LoaderFor(g)
 		deadline := playStart + g.StartUnit
 		tune := lastMultiple(deadline, g.Size)
 		if tune < free[ld] {
-			return nil, &ErrSchedule{Group: g, Earliest: free[ld], Deadline: deadline}
+			return &ErrSchedule{Group: g, Earliest: free[ld], Deadline: deadline}
 		}
 		d := Download{Group: g, Loader: ld, StartUnit: tune}
-		plan.Downloads = append(plan.Downloads, d)
+		p.Downloads = append(p.Downloads, d)
 		free[ld] = d.EndUnit()
 	}
-	return plan, nil
+	return nil
 }
 
 // lastMultiple returns the largest multiple of period that is <= t, for

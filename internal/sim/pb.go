@@ -36,7 +36,8 @@ func (s *PB) Client(arrivalMin float64, video int) (ClientResult, error) {
 		return ClientResult{}, fmt.Errorf("sim: negative arrival %v", arrivalMin)
 	}
 	k := s.scheme.K()
-	var downloads, playbacks []flow
+	w := getWorkspace()
+	defer workspaces.Put(w)
 	var playAt, prevPlayStart float64
 	for i := 1; i <= k; i++ {
 		// Channel i broadcasts S_i of video v during
@@ -57,12 +58,12 @@ func (s *PB) Client(arrivalMin float64, video int) (ClientResult, error) {
 			playAt = start // playback begins with the first download
 		}
 		playDur := s.scheme.FragmentMinutes(i)
-		downloads = append(downloads, flow{segment: i, startMin: start, endMin: start + dur, rateMbps: s.scheme.ChannelMbps()})
-		playbacks = append(playbacks, flow{segment: i, startMin: playAt, endMin: playAt + playDur, rateMbps: cfg.RateMbps})
+		w.downloads = append(w.downloads, flow{segment: i, startMin: start, endMin: start + dur, rateMbps: s.scheme.ChannelMbps()})
+		w.playbacks = append(w.playbacks, flow{segment: i, startMin: playAt, endMin: playAt + playDur, rateMbps: cfg.RateMbps})
 		prevPlayStart = playAt
 		playAt += playDur
 	}
-	res, err := runFlows(downloads, playbacks, arrivalMin)
+	res, err := w.runFlows(arrivalMin)
 	if err != nil {
 		return ClientResult{}, fmt.Errorf("sim: %s: %w", s.Name(), err)
 	}

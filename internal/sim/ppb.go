@@ -48,29 +48,29 @@ func (s *PPB) Client(arrivalMin float64, video int) (ClientResult, error) {
 		return ClientResult{}, fmt.Errorf("sim: negative arrival %v", arrivalMin)
 	}
 	k := s.scheme.K()
-	var downloads, playbacks []flow
+	w := getWorkspace()
+	defer workspaces.Put(w)
 	// Playback begins at the earliest replica of the first segment.
 	playAt := firstAtOrAfter(arrivalMin, s.scheme.PhaseOffsetMinutes(1), 0)
 	for i := 1; i <= k; i++ {
 		playDur := s.scheme.FragmentMinutes(i)
-		bursts, err := s.segmentBursts(i, playAt)
-		if err != nil {
+		var err error
+		if w.downloads, err = s.segmentBursts(w.downloads, i, playAt); err != nil {
 			return ClientResult{}, fmt.Errorf("sim: %s: %w", s.Name(), err)
 		}
-		downloads = append(downloads, bursts...)
-		playbacks = append(playbacks, flow{segment: i, startMin: playAt, endMin: playAt + playDur, rateMbps: cfg.RateMbps})
+		w.playbacks = append(w.playbacks, flow{segment: i, startMin: playAt, endMin: playAt + playDur, rateMbps: cfg.RateMbps})
 		playAt += playDur
 	}
-	res, err := runFlows(downloads, playbacks, arrivalMin)
+	res, err := w.runFlows(arrivalMin)
 	if err != nil {
 		return ClientResult{}, fmt.Errorf("sim: %s: %w", s.Name(), err)
 	}
 	return res, nil
 }
 
-// segmentBursts builds the pause/resume download schedule for segment i
-// whose playback starts at playStart minutes.
-func (s *PPB) segmentBursts(i int, playStart float64) ([]flow, error) {
+// segmentBursts appends to dst the pause/resume download schedule for
+// segment i whose playback starts at playStart minutes.
+func (s *PPB) segmentBursts(dst []flow, i int, playStart float64) ([]flow, error) {
 	var (
 		b     = s.scheme.Config().RateMbps
 		r     = s.scheme.SubchannelMbps()
@@ -91,10 +91,9 @@ func (s *PPB) segmentBursts(i int, playStart float64) ([]flow, error) {
 		}
 		return v
 	}
-	var bursts []flow
 	for n := 0; x < total-1e-9; n++ {
 		if n >= limit {
-			return nil, fmt.Errorf("ppb: segment %d burst schedule did not converge after %d bursts", i, n)
+			return dst, fmt.Errorf("ppb: segment %d burst schedule did not converge after %d bursts", i, n)
 		}
 		// Byte x is in flight at every grid time k*step plus x/(60r);
 		// resume as late as the playback deadline of byte x permits.
@@ -106,7 +105,7 @@ func (s *PPB) segmentBursts(i int, playStart float64) ([]flow, error) {
 		kk := math.Floor((deadline-base)/step + 1e-9)
 		start := base + kk*step
 		if start < prev-1e-9 {
-			return nil, fmt.Errorf("ppb: segment %d: no replica carries byte %.3f Mbit between %.6f and its deadline %.6f",
+			return dst, fmt.Errorf("ppb: segment %d: no replica carries byte %.3f Mbit between %.6f and its deadline %.6f",
 				i, x, prev, deadline)
 		}
 		if start < prev {
@@ -140,9 +139,9 @@ func (s *PPB) segmentBursts(i int, playStart float64) ([]flow, error) {
 			prev = start + step
 			continue
 		}
-		bursts = append(bursts, flow{segment: i, startMin: start, endMin: end, rateMbps: r})
+		dst = append(dst, flow{segment: i, startMin: start, endMin: end, rateMbps: r})
 		x += 60 * r * (end - start)
 		prev = end
 	}
-	return bursts, nil
+	return dst, nil
 }

@@ -44,7 +44,8 @@ func (s *SB) Client(arrivalMin float64, video int) (ClientResult, error) {
 		return ClientResult{}, err
 	}
 	b := s.scheme.Config().RateMbps
-	var downloads, playbacks []flow
+	w := getWorkspace()
+	defer workspaces.Put(w)
 	for _, dl := range plan.Downloads {
 		g := dl.Group
 		for j := 0; j < g.Count; j++ {
@@ -54,13 +55,13 @@ func (s *SB) Client(arrivalMin float64, video int) (ClientResult, error) {
 			// fragment downloads must not appear to overlap.
 			dU := dl.FragmentStart(j)
 			pU := playUnit + g.StartUnit + int64(j)*g.Size
-			downloads = append(downloads, flow{
+			w.downloads = append(w.downloads, flow{
 				segment: seg, startMin: float64(dU) * d1, endMin: float64(dU+g.Size) * d1, rateMbps: b})
-			playbacks = append(playbacks, flow{
+			w.playbacks = append(w.playbacks, flow{
 				segment: seg, startMin: float64(pU) * d1, endMin: float64(pU+g.Size) * d1, rateMbps: b})
 		}
 	}
-	res, err := runFlows(downloads, playbacks, arrivalMin)
+	res, err := w.runFlows(arrivalMin)
 	if err != nil {
 		return ClientResult{}, fmt.Errorf("sim: %s: %w", s.Name(), err)
 	}

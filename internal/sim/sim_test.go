@@ -291,31 +291,52 @@ func TestFirstAtOrAfter(t *testing.T) {
 	}
 }
 
+// replayFlows replays the given flow lists for a client arriving at 0.
+func replayFlows(downloads, playbacks []flow) (ClientResult, error) {
+	return (&workspace{downloads: downloads, playbacks: playbacks}).runFlows(0)
+}
+
 func TestRunFlowsRejectsViolations(t *testing.T) {
-	// Playback before download: jitter.
-	d := []flow{{segment: 1, startMin: 5, endMin: 6, rateMbps: 1.5}}
-	p := []flow{{segment: 1, startMin: 4, endMin: 5, rateMbps: 1.5}}
-	if _, err := runFlows(d, p, 0); err == nil {
-		t.Error("causality violation accepted")
+	seg1 := func(start, end float64) flow { return flow{segment: 1, startMin: start, endMin: end, rateMbps: 1.5} }
+	d := []flow{seg1(5, 6)}
+	p := []flow{seg1(4, 5)}
+	for _, tc := range []struct {
+		name                string
+		downloads, playback []flow
+		want                string
+	}{
+		{"playback before download", d, p, "jitter on segment 1"},
+		{"size mismatch", d, []flow{seg1(6, 8)}, "segment 1 downloads 90.000000 Mbit but plays 180.000000"},
+		{"undownloaded segment", d, []flow{{segment: 2, startMin: 6, endMin: 7, rateMbps: 1.5}},
+			"segment 2 played but never downloaded"},
+		{"duplicate download", []flow{d[0], d[0]}, []flow{p[0], p[0]}, "segment 1 bursts overlap at t=5.000000"},
+		{"distinct overlapping bursts", []flow{seg1(6, 6.5), seg1(5, 6.5)}, []flow{seg1(6.5, 8.5)},
+			"segment 1 bursts overlap at t=6.000000"},
+		{"end before start", []flow{seg1(6, 5)}, []flow{seg1(6, 7)}, "malformed download flow"},
+		{"zero rate", []flow{{segment: 1, startMin: 5, endMin: 6}}, []flow{seg1(6, 7)}, "malformed download flow"},
+		{"negative rate", []flow{{segment: 1, startMin: 5, endMin: 6, rateMbps: -1.5}}, []flow{seg1(6, 7)},
+			"malformed download flow"},
+		{"download never played", []flow{seg1(5, 6), {segment: 2, startMin: 6, endMin: 7, rateMbps: 1.5}},
+			[]flow{seg1(6, 7)}, "buffer did not drain: 90.000000 Mbit left"},
+		{"no playback", d, nil, "no playback flows"},
+	} {
+		_, err := replayFlows(tc.downloads, tc.playback)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
-	// Mismatched totals.
-	p2 := []flow{{segment: 1, startMin: 6, endMin: 8, rateMbps: 1.5}}
-	if _, err := runFlows(d, p2, 0); err == nil {
-		t.Error("size mismatch accepted")
+
+	// Bursts listed out of order and interleaved across segments are
+	// grouped per segment before they are checked.
+	seg2 := func(start, end float64) flow { return flow{segment: 2, startMin: start, endMin: end, rateMbps: 1.5} }
+	res, err := replayFlows(
+		[]flow{seg2(8, 9), seg1(7, 8), seg2(5, 6), seg1(4, 5)},
+		[]flow{seg1(10, 12), seg2(12, 14)})
+	if err != nil {
+		t.Fatalf("interleaved downloads rejected: %v", err)
 	}
-	// Played but never downloaded.
-	p3 := []flow{{segment: 2, startMin: 6, endMin: 7, rateMbps: 1.5}}
-	if _, err := runFlows(d, p3, 0); err == nil {
-		t.Error("undownloaded segment accepted")
-	}
-	// Duplicate downloads.
-	d2 := append(d, d[0])
-	if _, err := runFlows(d2, append(p, p[0]), 0); err == nil {
-		t.Error("duplicate download accepted")
-	}
-	// Count mismatch.
-	if _, err := runFlows(d, nil, 0); err == nil {
-		t.Error("count mismatch accepted")
+	if res.DownloadedMbit != 360 || res.MaxBufferMbit != 360 || res.PlayStartMin != 10 || res.PlaybackEndMin != 14 {
+		t.Errorf("interleaved downloads: %+v", res)
 	}
 }
 

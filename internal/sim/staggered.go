@@ -33,7 +33,11 @@ func (s *Staggered) Client(arrivalMin float64, video int) (ClientResult, error) 
 	}
 	start := firstAtOrAfter(arrivalMin, s.scheme.BatchingIntervalMin(), 0)
 	f := flow{segment: 1, startMin: start, endMin: start + cfg.LengthMin, rateMbps: cfg.RateMbps}
-	res, err := runFlows([]flow{f}, []flow{f}, arrivalMin)
+	w := getWorkspace()
+	defer workspaces.Put(w)
+	w.downloads = append(w.downloads, f)
+	w.playbacks = append(w.playbacks, f)
+	res, err := w.runFlows(arrivalMin)
 	if err != nil {
 		return ClientResult{}, fmt.Errorf("sim: %s: %w", s.Name(), err)
 	}

@@ -3,7 +3,7 @@
 // metropolitan video-on-demand, together with the baselines the paper
 // compares against (Pyramid Broadcasting and Permutation-Based Pyramid
 // Broadcasting), a plain staggered-broadcast baseline, a scheduled-
-// multicast batching server for unpopular videos, an event-driven
+// multicast batching server for unpopular videos, a flow-replay
 // simulator that cross-validates every closed form in the paper, and a
 // live loopback-UDP broadcast server and client.
 //
@@ -130,7 +130,7 @@ type StaggeredScheme = staggered.Scheme
 // NewStaggered builds the staggered baseline.
 func NewStaggered(cfg Config) (*StaggeredScheme, error) { return staggered.New(cfg) }
 
-// Simulation: event-driven clients measuring what the closed forms
+// Simulation: replayed client receptions measuring what the closed forms
 // predict.
 type (
 	// ClientSim simulates single-client receptions for one scheme.
@@ -142,7 +142,7 @@ type (
 )
 
 // SimulateSB, SimulatePyramid, SimulatePPB and SimulateStaggered wrap a
-// scheme for event-driven simulation.
+// scheme for simulation.
 func SimulateSB(s *Scheme) ClientSim                 { return sim.NewSB(s) }
 func SimulatePyramid(s *PyramidScheme) ClientSim     { return sim.NewPB(s) }
 func SimulatePPB(s *PPBScheme) ClientSim             { return sim.NewPPB(s) }
