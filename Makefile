@@ -46,12 +46,14 @@ chaos:
 # The portable-fallback pin: the whole egress ladder collapsed to plain
 # per-datagram writes (no sendmmsg, no GSO) and the ingress ladder to
 # plain single-datagram reads (no recvmmsg, no GRO) must still pass the
-# mcast suite, proving the fast paths are accelerations of — not
-# departures from — the portable semantics every non-Linux build runs.
+# mcast suite and the client session suite (a client.Watch session
+# receives through the ingress ladder), proving the fast paths are
+# accelerations of — not departures from — the portable semantics every
+# non-Linux build runs.
 test-portable:
 	SKYSCRAPER_NO_GSO=1 SKYSCRAPER_NO_SENDMMSG=1 \
 		SKYSCRAPER_NO_RECVMMSG=1 SKYSCRAPER_NO_GRO=1 \
-		$(GO) test -count=1 ./internal/mcast
+		$(GO) test -count=1 ./internal/mcast ./internal/client
 
 # Ten seconds of coverage-guided fuzzing per wire decoder (frame and
 # control planes): malformed input must error, never panic, and every

@@ -27,7 +27,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "log protocol details")
 		queryFlag = flag.Bool("stats", false, "query server stats instead of watching")
 		rcvbuf    = flag.Int("rcvbuf", 0,
-			"kernel receive-buffer bytes per tuner socket (SetReadBuffer); the server's batched egress delivers in bursts, so size this to absorb one (0 = 4 MiB default)")
+			"kernel receive-buffer bytes of the session's receive socket (SetReadBuffer); the server's batched egress delivers in bursts, so size this to absorb one (0 = 4 MiB default)")
 	)
 	flag.Parse()
 	if *addr == "" {

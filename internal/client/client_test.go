@@ -304,35 +304,6 @@ func TestWatchNoServer(t *testing.T) {
 	}
 }
 
-func TestPlayedBytes(t *testing.T) {
-	s := &session{
-		w:     &wire.Welcome{SizeUnits: []int64{1, 2}, BytesPerUnit: 100},
-		unit:  time.Second,
-		epoch: time.Unix(1000, 0),
-	}
-	s.playStartUnit = 10
-	start := s.unitTime(10)
-	if got := s.playedBytes(start.Add(-time.Second)); got != 0 {
-		t.Errorf("before start: %d", got)
-	}
-	if got := s.playedBytes(start.Add(1500 * time.Millisecond)); got != 150 {
-		t.Errorf("1.5 units in: %d, want 150", got)
-	}
-	if got := s.playedBytes(start.Add(time.Hour)); got != 300 {
-		t.Errorf("past end: %d, want 300 (capped)", got)
-	}
-}
-
-func TestMaxInt64(t *testing.T) {
-	var a atomic.Int64
-	maxInt64(&a, 5)
-	maxInt64(&a, 3)
-	maxInt64(&a, 9)
-	if a.Load() != 9 {
-		t.Errorf("maxInt64 = %d, want 9", a.Load())
-	}
-}
-
 // signature is the deterministic subset of Stats: the fields that depend
 // only on the fault plan's decisions, not on wall-clock timing (WaitUnits
 // and MaxBufferBytes vary run to run; repair retries may too).
@@ -364,22 +335,33 @@ func faultyWatch(t *testing.T, plan faults.Plan, cfg Config) (*Stats, error) {
 // seeded drop, duplication, reordering, and delay the session must still
 // complete with every byte verified, zero losses, zero jitter — and the
 // recovery statistics must be identical for identical seeds.
+//
+// The table is also an independent oracle for the receive stack: each
+// (plan, seed) signature is pinned to constants recorded against the
+// original single-session client (separate loader, handoff, and control
+// session code), so a regression in the shared receive path cannot hide
+// behind two runs agreeing with each other.
 func TestWatchRecoversFromFaultPlans(t *testing.T) {
 	plans := []struct {
 		name string
 		plan faults.Plan
+		// repaired and dups are the pinned signature columns for seeds 1
+		// and 11; bytes 192, lost 0, and groups 2 hold throughout.
+		repaired, dups [2]int64
 	}{
-		{"drop-only", faults.Plan{Drop: 0.3}},
-		{"duplicate-only", faults.Plan{Duplicate: 0.4}},
-		{"reorder-only", faults.Plan{Reorder: 0.4}},
-		{"combined", faults.Plan{Drop: 0.2, Duplicate: 0.2, Reorder: 0.2, Delay: 0.2, MaxDelay: 5 * time.Millisecond}},
+		{"drop-only", faults.Plan{Drop: 0.3}, [2]int64{2, 3}, [2]int64{0, 0}},
+		{"duplicate-only", faults.Plan{Duplicate: 0.4}, [2]int64{0, 0}, [2]int64{2, 2}},
+		{"reorder-only", faults.Plan{Reorder: 0.4}, [2]int64{0, 0}, [2]int64{0, 0}},
+		{"combined", faults.Plan{Drop: 0.2, Duplicate: 0.2, Reorder: 0.2, Delay: 0.2, MaxDelay: 5 * time.Millisecond},
+			[2]int64{1, 2}, [2]int64{0, 0}},
 	}
 	var totalRepaired, totalDups int64
 	for _, tc := range plans {
-		for _, seed := range []uint64{1, 11} {
+		for i, seed := range []uint64{1, 11} {
 			t.Run(tc.name, func(t *testing.T) {
 				plan := tc.plan
 				plan.Seed = seed
+				want := signature{bytes: 3 * 64, repaired: tc.repaired[i], dups: tc.dups[i], groups: 2}
 				var sigs [2]signature
 				for run := 0; run < 2; run++ {
 					stats, err := faultyWatch(t, plan, Config{Video: 0})
@@ -398,6 +380,9 @@ func TestWatchRecoversFromFaultPlans(t *testing.T) {
 				}
 				if sigs[0] != sigs[1] {
 					t.Errorf("seed %d: runs diverge: %+v vs %+v", seed, sigs[0], sigs[1])
+				}
+				if sigs[0] != want {
+					t.Errorf("seed %d: signature %+v, want pinned %+v", seed, sigs[0], want)
 				}
 			})
 		}
@@ -493,49 +478,6 @@ func TestWatchBufferCapacity(t *testing.T) {
 	}
 	if _, err := Watch(Config{ServerAddr: f.addr(), Video: 0, MaxBufferBytes: 1 << 20}); err != nil {
 		t.Fatalf("generous disk failed: %v", err)
-	}
-}
-
-// TestBackoffJitterDesync: the anti-storm property of Config.Seed. Two
-// sessions with different seeds must draw different backoff schedules from
-// the same retry sites (so a shared fault or a shared Busy release time
-// does not re-synchronize them), while the same seed must reproduce the
-// same schedule exactly, and every delay must respect (0, window] with the
-// 1ms anti-spin floor.
-func TestBackoffJitterDesync(t *testing.T) {
-	const window = 80 * time.Millisecond
-	schedule := func(seed uint64) []time.Duration {
-		s := &session{cfg: Config{Seed: seed}}
-		var ds []time.Duration
-		for stream := uint64(1); stream <= 8; stream++ {
-			ds = append(ds,
-				s.jitterIn(jitterKeyReconnect, stream, window),
-				s.jitterIn(repairJitterKey(3, 7), stream, window))
-		}
-		return ds
-	}
-	a, b, again := schedule(1), schedule(2), schedule(1)
-	for i := range a {
-		if a[i] != again[i] {
-			t.Fatalf("seed 1 not reproducible at slot %d: %v vs %v", i, a[i], again[i])
-		}
-		if a[i] < time.Millisecond || a[i] > window {
-			t.Errorf("slot %d delay %v outside [1ms, %v]", i, a[i], window)
-		}
-	}
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	if same > len(a)/4 {
-		t.Errorf("seeds 1 and 2 collide on %d/%d backoff slots; schedules not desynchronized", same, len(a))
-	}
-	// Distinct retry sites under one seed must also not share a stream.
-	s := &session{cfg: Config{Seed: 1}}
-	if s.jitterIn(jitterKeyReconnect, 1, window) == s.jitterIn(repairJitterKey(1, 1), 1, window) {
-		t.Error("reconnect and repair sites drew identical jitter from one seed")
 	}
 }
 

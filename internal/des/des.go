@@ -1,8 +1,12 @@
 // Package des is a small discrete-event simulation kernel: a virtual clock
-// and a priority queue of timestamped events. Every scheme simulation in
-// this repository (periodic broadcast channels, client loaders, batching
-// queues) runs on it, so results are deterministic and independent of wall
-// time.
+// and a priority queue of timestamped events, plus the seeded RNG and
+// substream derivation every simulation draws from. The event queue drives
+// the simulations whose events are not known up front — the unicast
+// baseline (internal/unicast) and the batching server (internal/batch) —
+// so their results are deterministic and independent of wall time. The
+// broadcast-scheme simulator (internal/sim) knows every flow edge in
+// advance and replays them without a queue, using only the RNG; the live
+// viewer stack uses the RNG for its jitter and arrival streams.
 //
 // Time is a float64 in minutes, matching the paper's unit of analysis.
 // Events scheduled at equal times fire in scheduling order (a stable

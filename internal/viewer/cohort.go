@@ -45,6 +45,41 @@ type cohort struct {
 	// stripeDefeats are cohort-level escalation events, one per defeated
 	// gap (like nacks).
 	fecHeals, stripeDefeats atomic.Int64
+
+	// Buffer ledger. downloaded counts payload booked on the shared path
+	// (every member holds it); ownMax is the most any member has
+	// recovered on its own (viewerLedger.ownBytes); maxBuffer is the peak
+	// of downloaded + ownMax − played over every sample.
+	downloaded, ownMax, maxBuffer atomic.Int64
+}
+
+// played is how many bytes the cohort's player has consumed by t under
+// its fixed schedule, capped at the whole video.
+func (c *cohort) played(t time.Time) int64 {
+	m := c.mux
+	elapsed := t.Sub(m.epoch.Add(time.Duration(c.playStartUnit) * m.unit))
+	if elapsed <= 0 {
+		return 0
+	}
+	units := float64(elapsed) / float64(m.unit)
+	return min(int64(units*float64(m.w.BytesPerUnit)), m.videoBytes)
+}
+
+// buffer samples the downloaded-but-unplayed level at time now, after
+// shared more bytes landed on the shared path; the high-water mark
+// occurs at an arrival, so sampling every arrival finds it.
+func (c *cohort) buffer(shared int64, now time.Time) {
+	maxInt64(&c.maxBuffer, c.downloaded.Add(shared)+c.ownMax.Load()-c.played(now))
+}
+
+// maxInt64 raises the atomic to at least v.
+func maxInt64(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 func (c *cohort) run(groups []series.Group) error {
@@ -97,9 +132,8 @@ type tuneEntry struct {
 	sub      *mcast.Subscription // non-nil once tuned
 }
 
-// loader receives this loader's transmission groups in order — the same
-// two-service-routine shape as the live client, but over a shared
-// subscription instead of a private socket.
+// loader receives this loader's transmission groups in order on one
+// tuner — the paper's Odd or Even Loader — over a shared subscription.
 func (c *cohort) loader(downloads []core.Download) error {
 	m := c.mux
 	// Flatten the schedule so each fragment's receive loop can see its
@@ -234,8 +268,7 @@ func chunkLen(totalBytes, chunkBytes, idx int) int {
 // When next is non-nil it is the successor fragment on the same loader,
 // and this loop performs the tuner handoff itself: it tunes next once
 // its join lead opens, so next's frames accumulate in its subscription
-// ring while this fragment's repair tail drains — mirroring the
-// single-tuner client, where they queue in the socket buffer.
+// ring while this fragment's repair tail drains.
 func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	channel, g, j, tuneUnit := e.channel, e.g, e.j, e.tuneUnit
 	m := c.mux
@@ -270,7 +303,8 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	// loss is cohort-wide.
 	op.Observe = !m.cfg.DisableRepair
 	op.DisableRepair = m.cfg.DisableRepair
-	op.OnLost = func(idx, _ int) {
+	op.OnLost = func(idx, attempts int) {
+		m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", channel, f.wantSeq, idx, attempts)
 		m.cfg.Logf("viewer: cohort (video %d, start %d) channel %d lost chunk %d cohort-wide",
 			c.video, c.playStartUnit, channel, idx)
 		c.lostShared.Add(1)
@@ -280,10 +314,10 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	// gap is handed to the per-viewer unicast plane: one NACK speaks for
 	// the whole cohort, and one re-send heals it. Timing keys on the first
 	// member's seed, so a single-viewer cohort NACKs bit-identically to a
-	// real client seeded with ViewerSeed — the golden-equivalence anchor.
+	// session seeded with ViewerSeed — the golden-equivalence anchor.
 	op.NackEnabled = m.w.NackRepair && !m.cfg.DisableNack
 	if op.NackEnabled {
-		seed := ViewerSeed(m.cfg.Seed, c.viewers[0])
+		seed := m.viewerSeed(c.viewers[0])
 		op.Jitter = func(key, stream uint64, window time.Duration) time.Duration {
 			return JitterIn(seed, key, stream, window)
 		}
@@ -315,8 +349,7 @@ func (c *cohort) receiveFragment(e, next *tuneEntry) error {
 	// Book the backlog that accumulated in the subscription ring during
 	// the tuner handoff before the machine's first deadline pass, so a
 	// boundary chunk that already arrived can never be mistaken for a
-	// gap, however late this loop starts. (The single-tuner client does
-	// the same with the handoff queue its predecessor read for it.)
+	// gap, however late this loop starts.
 drain:
 	for {
 		select {
@@ -369,8 +402,13 @@ drain:
 				continue
 			}
 			if act.Kind == ActNack {
+				// Multicast-first recovery: one aggregated gap bitmap for
+				// the burst; accepted chunks heal off the broadcast group,
+				// refused ones escalate to the per-viewer unicast plane.
+				m.tracef("nack", "ch %d seq %d: %d chunks", channel, f.wantSeq, len(act.Chunks))
 				accepted, err := m.jm.cc.nack(c.video, channel, f.wantSeq, act.Chunks)
 				if err != nil {
+					m.tracef("nack-fail", "ch %d seq %d: %v", channel, f.wantSeq, err)
 					var busy *busyError
 					if errors.As(err, &busy) {
 						c.nackBusy.Add(1)
@@ -517,6 +555,7 @@ func (c *cohort) handleFrame(f *cohortFrag, frame []byte, now time.Time) error {
 	if bad := content.Verify(ch.Payload, c.video, f.videoBase+int64(ch.Offset)); bad >= 0 {
 		c.byteErrors.Add(1)
 	}
+	c.buffer(int64(len(ch.Payload)), now)
 	if f.stripe != nil {
 		f.heals = f.stripe.Data(idx, ch.Payload, f.heals[:0])
 		return c.bookHeals(f, now)
@@ -559,9 +598,11 @@ func (c *cohort) bookHeals(f *cohortFrag, now time.Time) error {
 		if f.m.FecHealed(idx, now) == Duplicate {
 			continue
 		}
+		m.tracef("fec-heal", "ch %d seq %d chunk %d reconstructed from parity", f.channel, f.wantSeq, idx)
 		if bad := content.Verify(payload, c.video, off); bad >= 0 {
 			c.byteErrors.Add(1)
 		}
+		c.buffer(int64(len(payload)), now)
 	}
 	f.heals = f.heals[:0]
 	return nil
@@ -590,19 +631,20 @@ func (c *cohort) diverge(f *cohortFrag, idx int) {
 }
 
 // newViewerFrag builds viewer v's machine for fragment f with only the
-// diverging chunk outstanding. Its policy parameters mirror the live
-// client's exactly, keyed on the viewer's own seed.
+// diverging chunk outstanding, in repair mode, keyed on the viewer's own
+// seed.
 func (c *cohort) newViewerFrag(f *cohortFrag, v, gapIdx int) *viewerFrag {
 	m := c.mux
 	p := f.params
 	p.RepairsEnabled = func() bool { return !m.bye.Load() }
-	seed := ViewerSeed(m.cfg.Seed, v)
+	seed := m.viewerSeed(v)
 	p.Jitter = func(key, stream uint64, window time.Duration) time.Duration {
 		return JitterIn(seed, key, stream, window)
 	}
 	led := &m.ledgers[v]
 	totalBytes, chunkBytes := f.params.TotalBytes, f.params.ChunkBytes
-	p.OnLost = func(idx, _ int) {
+	p.OnLost = func(idx, attempts int) {
+		m.tracef("chunk-lost", "ch %d seq %d chunk %d lost (%d repair attempts)", f.channel, f.wantSeq, idx, attempts)
 		led.lost++
 		led.lostBytes += int64(chunkLen(totalBytes, chunkBytes, idx))
 	}

@@ -355,8 +355,10 @@ func TestCohortConvergedPathZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race for the gate")
 	}
 	const chunkBytes, nchunks = 512, 5
-	m := &Mux{w: &wire.Welcome{ChunkBytes: chunkBytes, BytesPerUnit: 1024}}
-	c := &cohort{mux: m, video: 1}
+	m := &Mux{}
+	m.setWelcome(&wire.Welcome{ChunkBytes: chunkBytes, BytesPerUnit: 1024, SizeUnits: []int64{2},
+		UnitNanos: int64(10 * time.Millisecond), EpochUnixNano: time.Unix(2000, 0).UnixNano()})
+	c := &cohort{mux: m, video: 1, playStartUnit: 100}
 	f := &cohortFrag{
 		c:       c,
 		channel: 2,

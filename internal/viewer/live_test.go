@@ -15,6 +15,19 @@ import (
 	"skyscraper/internal/vod"
 )
 
+// checkBufferBound asserts the paper's client buffer bound 60·b·D1·(W−1)
+// on a live mux run, in the demo's units: W−1 units of data plus one
+// chunk of arrival granularity, as the peak over every viewer. A zero
+// peak means the ledger never sampled.
+func checkBufferBound(t *testing.T, sch *core.Scheme, res *viewer.Result) {
+	t.Helper()
+	bound := (sch.EffectiveWidth()-1)*4096 + 1024
+	t.Logf("peak viewer buffer %d bytes (bound %d)", res.MaxBufferBytes, bound)
+	if res.MaxBufferBytes <= 0 || res.MaxBufferBytes > bound {
+		t.Errorf("peak viewer buffer %d bytes, want in (0, %d]", res.MaxBufferBytes, bound)
+	}
+}
+
 // liveScheme builds a small broadcast: m videos, k channels each, width w.
 func liveScheme(t *testing.T, m, k int, w int64) *core.Scheme {
 	t.Helper()
@@ -313,6 +326,8 @@ func TestMuxMatchesIndependentClients(t *testing.T) {
 	if fold(res1) != fold(res3) {
 		t.Errorf("stats depend on worker count:\n 1 worker  %+v\n 3 workers %+v", fold(res1), fold(res3))
 	}
+	checkBufferBound(t, sch, res1)
+	checkBufferBound(t, sch, res3)
 
 	// The clients run sequentially: repetition invariance makes their
 	// phase irrelevant to the stats, and one session at a time keeps the
@@ -393,6 +408,7 @@ func TestMuxScaleSmoke(t *testing.T) {
 	if res.Datagrams == 0 {
 		t.Error("shared receiver delivered no datagrams")
 	}
+	checkBufferBound(t, sch, res)
 
 	// The server must not have felt the audience: control sessions stay
 	// bounded by the mux's connection pool, not the viewer count.

@@ -3,22 +3,24 @@
 // audience size; demonstrating that requires an audience the test machine
 // can actually hold. This package supplies it in two layers:
 //
-//   - Machine (this file): the client's deterministic per-fragment loader
-//     state machine — gap detection on the wire sequence numbering, repair
+//   - Machine (this file): the deterministic per-fragment loader state
+//     machine — gap detection on the wire sequence numbering, repair
 //     scheduling with deadline-bounded jittered backoff, and degradation
-//     accounting — extracted from internal/client so one implementation
-//     drives both a real single-viewer session and the multiplexer below.
+//     accounting — shared by every cohort's loader and every viewer's
+//     repair plane.
 //
 //   - Mux (mux.go/cohort.go): a virtual-viewer multiplexer that emulates
 //     100k+ sessions in one process by exploiting the scheme's repetition
 //     invariance: viewers tuned to the same (video, channel set, phase)
 //     form a cohort sharing one receiver subscription and one
 //     decode/CRC/content-verify pass per datagram, with per-viewer state
-//     materialized only when losses force viewers to diverge.
+//     materialized only when losses force viewers to diverge. A single
+//     viewing session (Watch, behind client.Watch) is a one-viewer Mux,
+//     so one receive stack serves both.
 //
 // Machine is pure state: every method takes the current time explicitly
 // and touches no clock, socket, or goroutine, so the same transitions can
-// run against wall time (the live client) or a scripted virtual time (the
+// run against wall time (the live mux) or a scripted virtual time (the
 // cohort equivalence property tests).
 package viewer
 
@@ -29,8 +31,7 @@ import (
 )
 
 // DefaultMaxRepairAttempts caps the unicast round trips spent on one chunk
-// when FragmentParams leaves MaxRepairAttempts zero; it matches the
-// historical client constant.
+// when FragmentParams leaves MaxRepairAttempts zero.
 const DefaultMaxRepairAttempts = 5
 
 // DefaultGraceUnits is the receive cutoff's slack past the broadcast's
@@ -62,13 +63,13 @@ func JitterIn(seed, key, stream uint64, window time.Duration) time.Duration {
 	return d
 }
 
-// JitterFunc draws one deterministic backoff delay; the live client binds
-// JitterIn to its session seed, the multiplexer to each viewer's seed.
+// JitterFunc draws one deterministic backoff delay; the multiplexer binds
+// JitterIn to each viewer's seed.
 type JitterFunc func(key, stream uint64, window time.Duration) time.Duration
 
 // FragmentParams describes one fragment reception: the broadcast geometry
 // a loader tunes to and the recovery policy it runs. All times derive from
-// (Epoch, Unit) exactly as in the live client.
+// (Epoch, Unit).
 type FragmentParams struct {
 	// Video and Channel identify the fragment's broadcast group.
 	Video, Channel int
@@ -93,8 +94,8 @@ type FragmentParams struct {
 	// DisableRepair turns recovery off: gaps run out their deadlines and
 	// become losses. MaxRepairAttempts caps round trips per chunk (zero
 	// selects DefaultMaxRepairAttempts). RepairsEnabled, when non-nil, is
-	// consulted before scheduling each repair — the live client parks
-	// repairs after a server-initiated bye. Jitter draws retry backoff
+	// consulted before scheduling each repair — the mux parks repairs
+	// after a server-initiated bye. Jitter draws retry backoff
 	// (required unless DisableRepair or Observe).
 	DisableRepair     bool
 	MaxRepairAttempts int
@@ -215,7 +216,7 @@ const (
 
 // Machine is the loader state machine for one fragment reception. It is
 // not safe for concurrent use; the cohort multiplexer serializes access
-// per cohort and the live client drives one machine per loader.
+// per cohort loader and per viewer worker.
 type Machine struct {
 	p        FragmentParams
 	nchunks  int
@@ -666,8 +667,7 @@ func (m *Machine) Reopen(idx int) {
 	}
 }
 
-// RepairResult applies one repair round trip's outcome to chunk idx,
-// mirroring the live client's recovery policy exactly:
+// RepairResult applies one repair round trip's outcome to chunk idx:
 //
 //   - RepairOK books the chunk (jitter-checked at now).
 //   - RepairBusy reschedules at now + hint (or two chunk intervals when

@@ -18,6 +18,7 @@ import (
 	"skyscraper/internal/mcast"
 	"skyscraper/internal/metrics"
 	"skyscraper/internal/series"
+	"skyscraper/internal/trace"
 	"skyscraper/internal/wire"
 )
 
@@ -42,10 +43,18 @@ func (e *busyError) Error() string {
 // repair or reconnect jitter draw can collide with it.
 const arrivalStream = ^uint64(1)
 
+// jitterKeyReconnect is the jitter substream key for control re-dials;
+// repair retries key on (channel, chunk) via RepairJitterKey and NACK
+// windows on NackJitterKey, so no two retry sites share a stream.
+const jitterKeyReconnect = ^uint64(0)
+
+// redialAttempts caps the dials one control re-connect spends.
+const redialAttempts = 4
+
 // ViewerSeed is virtual viewer v's session seed under a mux seeded with
-// muxSeed. A real client.Config{Seed: ViewerSeed(muxSeed, v)} draws
-// bit-identical repair jitter schedules to mux viewer v — the anchor the
-// cohort-equivalence tests build on.
+// muxSeed. A session run by Watch with SessionConfig{Seed:
+// ViewerSeed(muxSeed, v)} draws bit-identical repair jitter schedules to
+// mux viewer v — the anchor the cohort-equivalence tests build on.
 func ViewerSeed(muxSeed uint64, v int) uint64 {
 	return des.SubSeed(muxSeed, uint64(v))
 }
@@ -74,7 +83,7 @@ type MuxConfig struct {
 	// worker count. Zero selects GOMAXPROCS capped at 8. Each worker
 	// lazily dials one control connection.
 	Workers int
-	// JoinLeadFrac, SlackFrac, RepairLagFrac mirror client.Config (all
+	// JoinLeadFrac, SlackFrac, RepairLagFrac mirror SessionConfig (all
 	// default to 0.5).
 	JoinLeadFrac  float64
 	SlackFrac     float64
@@ -125,7 +134,7 @@ type Result struct {
 	// mismatches (counted once per cohort on the shared path).
 	Bytes      int64 `json:"bytes"`
 	ByteErrors int64 `json:"byteErrors"`
-	// Chunk outcome sums over viewers, as in client.Stats.
+	// Chunk outcome sums over viewers, as in SessionStats.
 	LateChunks      int64 `json:"lateChunks"`
 	DuplicateChunks int64 `json:"duplicateChunks"`
 	LostChunks      int64 `json:"lostChunks"`
@@ -151,6 +160,10 @@ type Result struct {
 	StripeDefeats int64 `json:"stripeDefeats"`
 	// Degraded counts viewers that finished with any lost or late chunk.
 	Degraded int `json:"degraded"`
+	// MaxBufferBytes is the peak over viewers of downloaded-but-unplayed
+	// data — the live reading of the paper's 60·b·D1·(W−1) client buffer
+	// bound.
+	MaxBufferBytes int64 `json:"maxBufferBytes"`
 	// PeakViewers and PeakCohorts are the concurrency high-water marks.
 	PeakViewers int64 `json:"peakViewers"`
 	PeakCohorts int64 `json:"peakCohorts"`
@@ -231,6 +244,10 @@ type viewerLedger struct {
 	byteErrors                int64
 	lostBytes                 int64
 	fecHeals                  int64
+	// ownBytes counts the payload this viewer recovered off the shared
+	// path (unicast repairs, late arrivals of diverged chunks); every
+	// other downloaded byte is the cohort's.
+	ownBytes int64
 }
 
 // Mux is the virtual-viewer multiplexer: one process emulating Viewers
@@ -239,10 +256,18 @@ type viewerLedger struct {
 // channel and one decode/verify pass per datagram; per-viewer machines
 // materialize only when a loss makes outcomes diverge.
 type Mux struct {
-	cfg   MuxConfig
-	w     *wire.Welcome
-	unit  time.Duration
-	epoch time.Time
+	cfg        MuxConfig
+	w          *wire.Welcome
+	unit       time.Duration
+	epoch      time.Time
+	videoBytes int64
+
+	// Single-session mode, set by Watch: viewer 0 watches exactly video
+	// with exactly cfg.Seed (no ViewerSeed derivation), the repair plane
+	// shares the join connection, and trace journals recovery events.
+	session bool
+	video   int
+	trace   *trace.Buffer
 
 	rcv     *mcast.SharedReceiver
 	jm      *joinManager
@@ -253,6 +278,9 @@ type Mux struct {
 	// bye latches a server-initiated drain for every viewer at once.
 	bye        atomic.Bool
 	reconnects atomic.Int64
+	// redials numbers re-dial backoff sleeps across every control
+	// connection, so each draws from a fresh jitter substream.
+	redials atomic.Int64
 
 	ledgers []viewerLedger
 	waits   []float64 // per-viewer admission wait in units; read-only after admission
@@ -267,7 +295,7 @@ func (m *Mux) LiveViewers() *metrics.PaddedGauge   { return &m.liveViewers }
 func (m *Mux) ActiveCohorts() *metrics.PaddedGauge { return &m.activeCohorts }
 
 // Run emulates cfg.Viewers sessions to completion and aggregates their
-// stats. Like client.Watch, a degraded run still returns its Result
+// stats. Like Watch, a degraded run still returns its Result
 // alongside the error.
 func Run(cfg MuxConfig) (*Result, error) {
 	m, err := NewMux(cfg)
@@ -321,11 +349,52 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 		return nil, fmt.Errorf("viewer: malformed welcome: %d sizes for %d channels, %d videos",
 			len(w.SizeUnits), w.ChannelsPerVideo, w.Videos)
 	}
+	if w.FecGroup < 0 || w.FecGroup > wire.MaxFecGroup {
+		cc.close()
+		return nil, fmt.Errorf("viewer: malformed welcome: FEC group %d outside [0, %d]", w.FecGroup, wire.MaxFecGroup)
+	}
+	m.setWelcome(w)
+	m.jm = &joinManager{cc: cc, refs: map[mcast.Group]int{}}
+	return m, nil
+}
+
+// setWelcome adopts the server's broadcast geometry.
+func (m *Mux) setWelcome(w *wire.Welcome) {
 	m.w = w
 	m.unit = time.Duration(w.UnitNanos)
 	m.epoch = time.Unix(0, w.EpochUnixNano)
-	m.jm = &joinManager{cc: cc, refs: map[mcast.Group]int{}}
-	return m, nil
+	var units int64
+	for _, s := range w.SizeUnits {
+		units += s
+	}
+	m.videoBytes = units * int64(w.BytesPerUnit)
+}
+
+// viewerSeed is viewer v's seed: ViewerSeed of the mux seed, or — for
+// the session Watch runs — the session seed itself.
+func (m *Mux) viewerSeed(v int) uint64 {
+	if m.session {
+		return m.cfg.Seed
+	}
+	return ViewerSeed(m.cfg.Seed, v)
+}
+
+// redialDelay is the full-jitter sleep before re-dial attempt (1-based)
+// of a broken control connection: uniform in (0, 10ms·2^(attempt−1)],
+// drawn from the mux seed's reconnect substream at a mux-wide stream
+// index. After a server restart every connection re-dials at once; the
+// jitter spreads the wave, while one seed reproduces its schedule.
+func (m *Mux) redialDelay(attempt int) time.Duration {
+	window := 10 * time.Millisecond << (attempt - 1)
+	return JitterIn(m.cfg.Seed, jitterKeyReconnect, uint64(m.redials.Add(1)), window)
+}
+
+// tracef journals one recovery event on the broadcast epoch's wall
+// scale (a no-op without a trace buffer).
+func (m *Mux) tracef(kind, format string, args ...any) {
+	if m.trace != nil {
+		m.trace.Addf(trace.Wall(m.epoch, time.Now()), kind, format, args...)
+	}
 }
 
 // Run executes the emulation prepared by NewMux.
@@ -356,8 +425,10 @@ func (m *Mux) Run() (*Result, error) {
 
 	m.workers = make([]*worker, m.cfg.Workers)
 	for i := range m.workers {
-		w := &worker{mux: m, in: make(chan wcmd, 1024)}
-		w.conn = &controlConn{mux: m}
+		w := &worker{mux: m, in: make(chan wcmd, 1024), conn: m.jm.cc}
+		if !m.session {
+			w.conn = &controlConn{mux: m}
+		}
 		m.workers[i] = w
 		m.wwg.Add(1)
 		go w.run()
@@ -419,11 +490,14 @@ func (m *Mux) admit() []*cohort {
 	byKey := map[ckey]*cohort{}
 	var order []*cohort
 	for v := 0; v < m.cfg.Viewers; v++ {
-		r := des.NewRand(des.SubSeed(ViewerSeed(m.cfg.Seed, v), arrivalStream))
+		r := des.NewRand(des.SubSeed(m.viewerSeed(v), arrivalStream))
 		a := arrivalUnits + r.Float64()*m.cfg.SpreadUnits
 		playStart := int64(math.Ceil(a + m.cfg.JoinLeadFrac))
 		m.waits[v] = float64(playStart) - a
 		k := ckey{video: v % videos, playStart: playStart}
+		if m.session {
+			k.video = m.video
+		}
 		co := byKey[k]
 		if co == nil {
 			co = &cohort{mux: m, video: k.video, playStartUnit: k.playStart}
@@ -454,19 +528,15 @@ func (m *Mux) aggregate(cohorts []*cohort, elapsed time.Duration) *Result {
 		ReadErrors:   m.rcv.ReadErrors(),
 		Reconnects:   m.reconnects.Load(),
 	}
-	var totalUnits int64
-	for _, s := range m.w.SizeUnits {
-		totalUnits += s
-	}
-	videoBytes := totalUnits * int64(m.w.BytesPerUnit)
 	for _, co := range cohorts {
 		n := int64(len(co.viewers))
 		sharedLate, sharedLost := co.late.Load(), co.lostShared.Load()
+		res.MaxBufferBytes = max(res.MaxBufferBytes, co.maxBuffer.Load())
 		res.LateChunks += sharedLate * n
 		res.DuplicateChunks += co.dup.Load() * n
 		res.LostChunks += sharedLost * n
 		res.ByteErrors += co.byteErrors.Load()
-		res.Bytes += n * (videoBytes - co.lostSharedBytes.Load())
+		res.Bytes += n * (m.videoBytes - co.lostSharedBytes.Load())
 		res.NacksSent += co.nacks.Load()
 		res.NacksSuppressed += co.nackSuppressed.Load()
 		res.BusyReplies += co.nackBusy.Load()
@@ -582,26 +652,33 @@ func (w *worker) step(vf *viewerFrag, now time.Time) {
 	if vf.done {
 		return
 	}
+	m := w.mux
 	f := vf.f
-	led := &w.mux.ledgers[vf.viewer]
+	led := &m.ledgers[vf.viewer]
 	for idx := range f.arrived {
 		if t := f.arrived[idx].Load(); t != 0 && !vf.vm.Have(idx) {
-			// A recorded stripe reconstruction books as a FEC heal — or a
-			// duplicate, for a viewer that already unicast-repaired the
-			// chunk — exactly as a live client's machine would book it.
+			// A recorded stripe reconstruction books as this viewer's FEC
+			// heal; either way the bytes are the viewer's own.
+			at := time.Unix(0, t)
 			if f.healed[idx].Load() {
-				vf.vm.FecHealed(idx, time.Unix(0, t))
+				vf.vm.FecHealed(idx, at)
+				m.tracef("fec-heal", "ch %d seq %d chunk %d reconstructed from parity", f.channel, f.wantSeq, idx)
 			} else {
-				vf.vm.Chunk(idx, time.Unix(0, t))
+				vf.vm.Chunk(idx, at)
 			}
+			w.own(vf, vf.vm.ChunkLen(idx), at)
 		}
 	}
 	for {
+		// Done is checked after Next: a pass that declares the last
+		// outstanding chunk lost must finish the viewer now, not park it
+		// until the fragment's receive cutoff while the cohort loader
+		// waits on it.
+		act := vf.vm.Next(now)
 		if vf.vm.Done() {
 			w.finish(vf)
 			return
 		}
-		act := vf.vm.Next(now)
 		if act.Kind != ActRepair {
 			heap.Push(&w.h, wakeEntry{at: act.Wake, vf: vf})
 			return
@@ -609,6 +686,7 @@ func (w *worker) step(vf *viewerFrag, now time.Time) {
 		idx := act.Idx
 		led.repairReqs++
 		off := int64(idx) * int64(f.params.ChunkBytes)
+		m.tracef("repair-req", "ch %d seq %d chunk %d (attempt %d)", f.channel, f.wantSeq, idx, act.Attempt)
 		data, err := w.conn.repair(f.c.video, f.channel, f.wantSeq, off, vf.vm.ChunkLen(idx))
 		now = time.Now()
 		outcome, retryAfter := RepairOK, time.Duration(0)
@@ -616,20 +694,40 @@ func (w *worker) step(vf *viewerFrag, now time.Time) {
 			var busy *busyError
 			switch {
 			case errors.As(err, &busy):
+				// Admission pushback is flow control, not failure: the
+				// chunk stays eligible until its playback deadline.
 				led.busyReplies++
+				m.tracef("repair-busy", "ch %d seq %d chunk %d: %v", f.channel, f.wantSeq, idx, err)
 				outcome, retryAfter = RepairBusy, busy.retryAfter
 			case errors.Is(err, errMuxDraining):
+				m.tracef("repair-off", "ch %d seq %d chunk %d: %v", f.channel, f.wantSeq, idx, err)
 				outcome = RepairDisabled
 			default:
+				m.tracef("repair-fail", "ch %d seq %d chunk %d: %v", f.channel, f.wantSeq, idx, err)
 				outcome = RepairFailed
 			}
 		}
 		if vf.vm.RepairResult(idx, outcome, retryAfter, now) == Repaired {
+			m.tracef("repair-ok", "ch %d seq %d chunk %d repaired (attempt %d)", f.channel, f.wantSeq, idx, vf.vm.Attempts(idx))
 			if bad := content.Verify(data, f.c.video, f.videoBase+off); bad >= 0 {
 				led.byteErrors++
 			}
+			w.own(vf, len(data), now)
 		}
 	}
+}
+
+// own books n bytes a viewer recovered off the shared path at time at
+// into the buffer ledger. A viewer's own bytes only grow, so the cohort's
+// running maximum of them is exact, and the cohort's level — shared
+// bytes plus that maximum, minus playback — is the peak over its members
+// at every sample, for O(1) work per event.
+func (w *worker) own(vf *viewerFrag, n int, at time.Time) {
+	led := &w.mux.ledgers[vf.viewer]
+	led.ownBytes += int64(n)
+	c := vf.f.c
+	maxInt64(&c.ownMax, led.ownBytes)
+	c.buffer(0, at)
 }
 
 // finish folds a completed viewer-fragment's machine stats into the
@@ -699,30 +797,50 @@ func (c *controlConn) welcome() (*wire.Welcome, error) {
 	return c.w, nil
 }
 
+// ensureLocked dials and handshakes if the connection is down. The first
+// handshake fails fast; once the mux knows its broadcast, a broken link
+// is re-dialed up to redialAttempts times under jittered backoff, and
+// must reach the same broadcast (epoch) it left.
 func (c *controlConn) ensureLocked() error {
 	if c.conn != nil {
 		return nil
 	}
-	conn, err := net.DialTimeout("tcp", c.mux.cfg.ServerAddr, c.mux.cfg.ControlTimeout)
-	if err != nil {
-		return fmt.Errorf("viewer: dialing control: %w", err)
+	m := c.mux
+	attempts := 1
+	if m.w != nil {
+		attempts = redialAttempts
 	}
-	r := bufio.NewReader(conn)
-	w, err := muxHandshake(conn, r, c.mux.cfg.ControlTimeout)
-	if err != nil {
-		conn.Close()
-		return err
+	var lastErr error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			time.Sleep(m.redialDelay(attempt))
+		}
+		conn, err := net.DialTimeout("tcp", m.cfg.ServerAddr, m.cfg.ControlTimeout)
+		if err != nil {
+			lastErr = fmt.Errorf("viewer: dialing control: %w", err)
+			continue
+		}
+		r := bufio.NewReader(conn)
+		w, err := muxHandshake(conn, r, m.cfg.ControlTimeout)
+		if err != nil {
+			conn.Close()
+			lastErr = err
+			continue
+		}
+		if have := m.w; have != nil && w.EpochUnixNano != have.EpochUnixNano {
+			conn.Close()
+			return errors.New("viewer: server restarted (broadcast epoch changed)")
+		}
+		c.conn, c.r, c.w = conn, r, w
+		if c.dialed {
+			m.reconnects.Add(1)
+			m.tracef("reconnect", "control connection re-established (attempt %d)", attempt+1)
+			m.cfg.Logf("viewer: control connection re-established")
+		}
+		c.dialed = true
+		return nil
 	}
-	if have := c.mux.w; have != nil && w.EpochUnixNano != have.EpochUnixNano {
-		conn.Close()
-		return errors.New("viewer: server restarted (broadcast epoch changed)")
-	}
-	c.conn, c.r, c.w = conn, r, w
-	if c.dialed {
-		c.mux.reconnects.Add(1)
-	}
-	c.dialed = true
-	return nil
+	return lastErr
 }
 
 func muxHandshake(conn net.Conn, r *bufio.Reader, timeout time.Duration) (*wire.Welcome, error) {
@@ -741,8 +859,11 @@ func muxHandshake(conn net.Conn, r *bufio.Reader, timeout time.Duration) (*wire.
 	return m.Welcome, nil
 }
 
-// roundTrip performs one control request, re-dialing a broken connection
-// up to three attempts. A server bye latches the mux-wide drain flag.
+// roundTrip performs one control request (and, when wantReply, reads the
+// answer) in up to three attempts, transparently re-dialing a broken
+// connection. Protocol-level rejections are returned as the reply; only
+// transport failures are retried. A server bye latches the mux-wide drain
+// flag.
 func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Control, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -752,8 +873,7 @@ func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Contro
 			return nil, nil // fire-and-forget on a dead link: drop it
 		}
 		if err := c.ensureLocked(); err != nil {
-			lastErr = err
-			continue
+			return nil, err
 		}
 		_ = c.conn.SetDeadline(time.Now().Add(c.mux.cfg.ControlTimeout))
 		err := wire.WriteControl(c.conn, msg)
@@ -765,6 +885,7 @@ func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Contro
 		if err == nil {
 			if wantReply && reply.Kind == wire.KindBye {
 				c.mux.bye.Store(true)
+				c.mux.tracef("server-bye", "server draining; disabling repairs")
 				c.mux.cfg.Logf("viewer: server draining (bye); repairs disabled for all viewers")
 				c.conn.Close()
 				c.conn, c.r = nil, nil
@@ -773,13 +894,14 @@ func (c *controlConn) roundTrip(msg *wire.Control, wantReply bool) (*wire.Contro
 			return reply, nil
 		}
 		lastErr = err
+		c.mux.tracef("control-error", "%s round trip: %v", msg.Kind, err)
 		c.conn.Close()
 		c.conn, c.r = nil, nil
 	}
 	return nil, lastErr
 }
 
-// repair pulls one chunk over unicast, exactly as the live client does.
+// repair pulls one chunk over unicast.
 func (c *controlConn) repair(video, channel int, seq uint32, offset int64, length int) ([]byte, error) {
 	req := &wire.Repair{Video: video, Channel: channel, Seq: seq, Offset: offset, Length: length}
 	reply, err := c.roundTrip(&wire.Control{Kind: wire.KindRepair, Repair: req}, true)
@@ -801,7 +923,7 @@ func (c *controlConn) repair(video, channel int, seq uint32, offset int64, lengt
 
 // nack reports a burst of losses as one gap-bitmap NACK — the cohort's
 // aggregated voice — and returns a predicate over the chunks the server
-// accepted for multicast re-send, exactly as the live client does. A
+// accepted for multicast re-send. A
 // transport or protocol failure returns an error; the caller escalates
 // every chunk to the per-viewer unicast plane.
 func (c *controlConn) nack(video, channel int, seq uint32, chunks []int) (func(idx int) bool, error) {
